@@ -10,6 +10,12 @@ cargo build --release --offline --workspace
 echo "== cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== perfbench tests (a package outside the workspace) =="
+# The benchmark builds the crates through path dependencies of its own
+# manifest, so the workspace steps above never compile it; an API change
+# that breaks it must fail here, not first in a benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path crates/bench/src/bin/perfbench/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -15,18 +15,6 @@
 //!   bench_engine [--smoke|--quick] [--out FILE] [--filter SUBSTR]
 //!   bench_engine --validate FILE                  # check an emitted file
 //!   bench_engine --validate FILE --against BASE   # + fail on >10% geomean drop
-//!   bench_engine --ab-bucket [--gate X]   # interleaved bucket-vs-treap A/B
-//!   bench_engine --ab-null                # A/A null of the same protocol
-//!
-//! `--ab-bucket` runs the in-process interleaved A/B protocol
-//! (EXPERIMENTS.md) over the coarse-ranking cells: for every workload ×
-//! array × {coarse-lru, rrip} × {fs-feedback, unpartitioned} cell it
-//! builds a treap-backed and a bucket-backed engine on the same trace,
-//! alternates timed passes A,B,A,B,… and reports the per-cell best-of
-//! speedup plus pooled per-half geomeans. The headline number is the
-//! churn-half fs-feedback pool (ROADMAP item 3); `--gate X` exits
-//! non-zero if that pool's geomean speedup is below `X`. `--ab-null`
-//! runs treap against treap to measure the protocol's noise floor.
 //!
 //! `--filter` restricts measurement to cells whose
 //! `workload/array/ranking/scheme` quad contains the substring — for
@@ -308,7 +296,7 @@ fn parse_summary(path: &str) -> (f64, String) {
 /// or either per-workload half — dropped by more than 10%. Gating the
 /// churn and resident halves separately keeps a large win on one half
 /// from masking a regression on the other. A single-shot run is noisier
-/// than the interleaved A/B protocol in EXPERIMENTS.md, so the
+/// than perfbench's repeated runs (`perfbench --aa N`), so the
 /// tolerance is deliberately loose — this catches "accidentally made
 /// the engine 2× slower", not 3% drifts.
 fn compare_against(current: &str, baseline: &str) {
@@ -351,104 +339,6 @@ fn compare_against(current: &str, baseline: &str) {
     }
 }
 
-/// Interleaved bucket-vs-treap A/B (or A/A null when `null`): both arms
-/// share one trace, alternate timed passes, and score best-of-rounds —
-/// the same one-sided-noise reasoning as [`measure_cell`], with the
-/// interleaving additionally cancelling slow drifts (thermal ramps,
-/// competing load) that a sequential A-then-B comparison would book as
-/// a phantom speedup of whichever arm ran second.
-fn run_ab(null: bool) {
-    let scale = Scale::from_args();
-    let lines = scale.lines(FULL_LINES);
-    let accesses = scale.accesses(FULL_ACCESSES);
-    /// Timed passes per arm after warmup.
-    const ROUNDS: usize = 9;
-    let families = [
-        ("coarse-lru-treap", "coarse-lru-bucket"),
-        ("rrip-treap", "rrip-bucket"),
-    ];
-    let schemes = ["fs-feedback", "unpartitioned"];
-    let label = if null { "A/A null" } else { "bucket vs treap" };
-    println!("bench_engine {label}: {ROUNDS} interleaved rounds/arm, {lines} lines\n");
-
-    // (workload log-sum, n) pools; headline = churn × fs-feedback.
-    let mut pools: Vec<(String, f64, usize)> = Vec::new();
-    let mut pool = |key: String, speedup: f64| {
-        for slot in pools.iter_mut() {
-            if slot.0 == key {
-                slot.1 += speedup.ln();
-                slot.2 += 1;
-                return;
-            }
-        }
-        pools.push((key, speedup.ln(), 1));
-    };
-    for workload in WORKLOADS {
-        let wl = Workload::generate(workload, accesses, lines);
-        for array in ARRAYS {
-            if array == "fully-assoc" {
-                // Evicts through `max_futility_line`, where the backends
-                // legitimately differ in tie order — not an A/B cell.
-                continue;
-            }
-            for (treap, bucket) in families {
-                for scheme in schemes {
-                    let b_name = if null { treap } else { bucket };
-                    let mut a = fs_bench::engine_for(array, treap, scheme, lines, 7, PARTS);
-                    let mut b = fs_bench::engine_for(array, b_name, scheme, lines, 7, PARTS);
-                    a.stats_mut().sample_deviation = false;
-                    b.stats_mut().sample_deviation = false;
-                    wl.drive(a.as_mut());
-                    wl.drive(b.as_mut());
-                    let (mut best_a, mut best_b) = (0.0f64, 0.0f64);
-                    for _ in 0..ROUNDS {
-                        let t0 = Instant::now();
-                        wl.drive(a.as_mut());
-                        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-                        best_a = best_a.max(wl.addrs.len() as f64 / dt);
-                        let t0 = Instant::now();
-                        wl.drive(b.as_mut());
-                        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-                        best_b = best_b.max(wl.addrs.len() as f64 / dt);
-                    }
-                    // Identical futility values ⇒ identical outcomes;
-                    // assert it so a wiring mistake cannot masquerade
-                    // as a speedup.
-                    assert_eq!(
-                        a.stats().total_misses(),
-                        b.stats().total_misses(),
-                        "{workload}/{array}/{treap}/{scheme}: arms diverged"
-                    );
-                    let speedup = best_b / best_a;
-                    println!(
-                        "{workload:8} {array:12} {treap:16} {scheme:14} {:>10.0} vs {:>10.0} acc/s  x{speedup:.3}",
-                        best_a, best_b
-                    );
-                    pool(format!("{workload} (all)"), speedup);
-                    pool(format!("{workload} {scheme}"), speedup);
-                }
-            }
-        }
-    }
-    println!();
-    let mut headline = f64::NAN;
-    for (key, logsum, n) in &pools {
-        let g = (logsum / *n as f64).exp();
-        println!("pooled {key:24} {n:2} cells: geomean x{g:.3}");
-        if key == "churn fs-feedback" {
-            headline = g;
-        }
-    }
-    if let Some(gate) = cli_value("--gate") {
-        let min: f64 = gate.parse().expect("--gate needs a number");
-        if headline.is_nan() || headline < min {
-            eprintln!("FAIL: churn fs-feedback pooled geomean x{headline:.3} < gate x{min}");
-            std::process::exit(1);
-        }
-        println!("gate passed: churn fs-feedback x{headline:.3} >= x{min}");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--validate") {
@@ -457,14 +347,6 @@ fn main() {
         if let Some(baseline) = cli_value("--against") {
             compare_against(path, &baseline);
         }
-        return;
-    }
-    if args.iter().any(|a| a == "--ab-bucket") {
-        run_ab(false);
-        return;
-    }
-    if args.iter().any(|a| a == "--ab-null") {
-        run_ab(true);
         return;
     }
     run_grid();

@@ -4,7 +4,7 @@
 //! at this scale exact goldens can't exist.
 //!
 //! Every cell drives disjoint per-partition Zipf(α=0.8) populations
-//! (footprint 4× the cache) through a [`ShardedEngine`], then compares
+//! (footprint 4× the cache) through a `ShardedEngine`, then compares
 //! the shard-merged measured miss rate against the closed-form oracle
 //! for one partition's population at its target size. FS-feedback
 //! cells are *gated* on agreement within [`ORACLE_TOL`]; Vantage/PriSM
@@ -22,26 +22,11 @@
 //!
 //! Usage:
 //!   bench_sharded [--smoke|--quick] [--jobs N] [--out FILE]
-//!   bench_sharded --ab-missrun [--smoke|--quick]   # certain-miss gather A/B
-//!   bench_sharded --ab-bucket [--smoke|--quick]    # bucket-vs-treap ranking A/B
 //!   bench_sharded --validate FILE [--against BASE]
-//!
-//! `--ab-missrun` re-runs the PR 8 certain-miss-gathering experiment at
-//! DRAM-bound geometry: one unsharded engine, gather cap 16 vs cap 1
-//! (observably identical by the certain-miss proof), interleaved timed
-//! passes — the post-mortem predicted gathering only pays off here.
-//!
-//! `--ab-bucket` is the 1M-line cell of the PR 10 bucket-vs-treap
-//! ranking A/B (ROADMAP item 3): the same fs-feedback geometry built
-//! through [`fs_bench::sharded_engine_for_backend`] with the treap-free
-//! [`ranking::BucketCoarseLru`] vs the default treap-backed coarse LRU,
-//! interleaved timed passes, gated on identical merged hit/miss
-//! outcomes (the backends are futility-value-identical by
-//! `tests/bucket_vs_treap.rs`, so any divergence is a wiring bug).
 
 use cachesim::engine::AccessBlock;
 use cachesim::prng::{seed_for, Prng};
-use cachesim::{PartitionId, ShardedEngine};
+use cachesim::PartitionId;
 use fs_bench::Scale;
 use std::time::Instant;
 use workloads::MultiZipf;
@@ -390,140 +375,6 @@ fn sweep() {
     println!("oracle gate OK: every fs-feedback cell within {ORACLE_TOL}");
 }
 
-/// Satellite: the PR 8 certain-miss-gathering A/B at DRAM-bound
-/// geometry. One unsharded engine per arm (cap 16 vs cap 1 — the
-/// gather cap is observably inert), same warmed state, interleaved
-/// timed passes over the same pre-generated blocks.
-fn ab_missrun() {
-    let scale = Scale::from_args();
-    let lines = total_lines(scale);
-    let (parts, pairs) = match scale {
-        Scale::Full | Scale::Quick => (128, 4),
-        Scale::Smoke => (16, 2),
-    };
-    let per_part = lines / parts;
-    let items = FOOTPRINT_X * per_part;
-    let measured = measured_accesses(lines);
-
-    let build = |cap: usize| {
-        let mut e = fs_bench::sharded_engine_for(
-            "fs-feedback",
-            lines,
-            1,
-            parts,
-            seed_for("bench_sharded_ab", 0),
-        );
-        e.set_miss_run_cap(cap);
-        e.set_sample_deviation(false);
-        e
-    };
-    let mut gather = build(16);
-    let mut no_gather = build(1);
-
-    let gen = MultiZipf::uniform_mix(parts, items, ALPHA);
-    let mut rng = Prng::seed_from_u64(seed_for("bench_sharded_ab_trace", 0));
-    for b in generate_blocks(&gen, 3 * lines, &mut rng) {
-        gather.access_batch(&b);
-        no_gather.access_batch(&b);
-    }
-    let blocks = generate_blocks(&gen, measured, &mut rng);
-
-    let time_pass = |e: &mut ShardedEngine| {
-        let t0 = Instant::now();
-        for b in &blocks {
-            e.access_batch(b);
-        }
-        measured as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut log_ratio = 0.0f64;
-    for p in 0..pairs {
-        let a = time_pass(&mut gather);
-        let b = time_pass(&mut no_gather);
-        println!(
-            "pair {p}: gather {a:>12.0} acc/s  no-gather {b:>12.0} acc/s  ratio {:.3}",
-            a / b
-        );
-        log_ratio += (a / b).ln();
-    }
-    let s = gather.merged_stats();
-    let miss = s.total_misses() as f64 / (s.total_hits() + s.total_misses()).max(1) as f64;
-    println!(
-        "A/B certain-miss gathering at {lines} lines / {parts} parts (miss rate {miss:.3}): pooled geomean ratio {:.3}",
-        (log_ratio / pairs as f64).exp()
-    );
-}
-
-/// Satellite of the PR 10 treap-retirement: the bucket-vs-treap coarse
-/// ranking A/B at the sharded 1M-line geometry. One engine per arm,
-/// identical seeds and trace, interleaved timed passes; the merged
-/// hit/miss totals must match exactly or the run aborts.
-fn ab_bucket() {
-    let scale = Scale::from_args();
-    let lines = total_lines(scale);
-    let (parts, shards, pairs) = match scale {
-        Scale::Full | Scale::Quick => (128, 8, 4),
-        Scale::Smoke => (16, 4, 2),
-    };
-    let per_part = lines / parts;
-    let items = FOOTPRINT_X * per_part;
-    let measured = measured_accesses(lines);
-
-    let build = |backend: &str| {
-        let mut e = fs_bench::sharded_engine_for_backend(
-            "fs-feedback",
-            lines,
-            shards,
-            parts,
-            seed_for("bench_sharded_ab_bucket", 0),
-            backend,
-        );
-        e.set_jobs(fs_bench::cli_jobs());
-        e.set_sample_deviation(false);
-        e
-    };
-    let mut treap = build("treap");
-    let mut bucket = build("bucket");
-
-    let gen = MultiZipf::uniform_mix(parts, items, ALPHA);
-    let mut rng = Prng::seed_from_u64(seed_for("bench_sharded_ab_bucket_trace", 0));
-    for b in generate_blocks(&gen, 3 * lines, &mut rng) {
-        treap.access_batch(&b);
-        bucket.access_batch(&b);
-    }
-    let blocks = generate_blocks(&gen, measured, &mut rng);
-
-    let time_pass = |e: &mut ShardedEngine| {
-        let t0 = Instant::now();
-        for b in &blocks {
-            e.access_batch(b);
-        }
-        measured as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut log_ratio = 0.0f64;
-    for p in 0..pairs {
-        let t = time_pass(&mut treap);
-        let b = time_pass(&mut bucket);
-        println!(
-            "pair {p}: treap {t:>12.0} acc/s  bucket {b:>12.0} acc/s  speedup {:.3}",
-            b / t
-        );
-        log_ratio += (b / t).ln();
-    }
-
-    let (st, sb) = (treap.merged_stats(), bucket.merged_stats());
-    assert_eq!(
-        (st.total_hits(), st.total_misses()),
-        (sb.total_hits(), sb.total_misses()),
-        "bucket and treap arms diverged — backends must be outcome-identical"
-    );
-    let miss = st.total_misses() as f64 / (st.total_hits() + st.total_misses()).max(1) as f64;
-    println!(
-        "A/B bucket-vs-treap coarse LRU at {lines} lines / {parts} parts / {shards} shards \
-         (miss rate {miss:.3}, outcomes identical): pooled geomean speedup {:.3}",
-        (log_ratio / pairs as f64).exp()
-    );
-}
-
 /// Dependency-free validation of an emitted file: a cell for every
 /// grid point of the file's scale, and a finite positive geomean.
 fn validate(path: &str) {
@@ -616,14 +467,6 @@ fn main() {
         if let Some(baseline) = cli_value("--against") {
             compare_against(path, &baseline);
         }
-        return;
-    }
-    if args.iter().any(|a| a == "--ab-missrun") {
-        ab_missrun();
-        return;
-    }
-    if args.iter().any(|a| a == "--ab-bucket") {
-        ab_bucket();
         return;
     }
     sweep();

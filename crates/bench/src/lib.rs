@@ -157,13 +157,13 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 ///
 /// The coarse rankings map to their treap-free bucket backends
 /// ([`BucketCoarseLru`] / [`BucketRrip`], DESIGN.md §14), which produce
-/// identical futility values and therefore identical outcomes. Two
-/// exceptions keep the treaps in play: compositions that evict through
+/// identical futility values and therefore identical outcomes. The
+/// exception is the compositions that evict through
 /// `max_futility_line` — the `"full-assoc"` scheme and the
-/// `"fully-assoc"` array — need the exact-shadow tie-order semantics
-/// only the treap backends provide, and the explicit names
-/// `"coarse-lru-treap"` / `"rrip-treap"` request the treap backends
-/// directly (the A/B reference arms of `bench_engine --ab-bucket`).
+/// `"fully-assoc"` array — which need the exact-shadow tie-order
+/// semantics only the treap backends provide. The bucket rankings' own
+/// names (`"coarse-lru-bucket"` / `"rrip-bucket"`) always resolve to
+/// the bucket backends.
 ///
 /// Unknown ranking names fall back to the fully boxed
 /// [`PartitionedCache`](cachesim::PartitionedCache) composition;
@@ -210,13 +210,11 @@ pub fn engine_for(
                 "lru" => with_scheme!($arr, ExactLru::new()),
                 "coarse-lru" if evicts_by_max_line => with_scheme!($arr, CoarseLru::new()),
                 "coarse-lru" | "coarse-lru-bucket" => with_scheme!($arr, BucketCoarseLru::new()),
-                "coarse-lru-treap" => with_scheme!($arr, CoarseLru::new()),
                 "lfu" => with_scheme!($arr, Lfu::new()),
                 "opt" => with_scheme!($arr, Opt::new()),
                 "random" => with_scheme!($arr, RandomRanking::new(0xFACE)),
                 "rrip" if evicts_by_max_line => with_scheme!($arr, Rrip::new()),
                 "rrip" | "rrip-bucket" => with_scheme!($arr, BucketRrip::new()),
-                "rrip-treap" => with_scheme!($arr, Rrip::new()),
                 other => Box::new(EngineCore::new(
                     Box::new($arr) as Box<dyn CacheArray>,
                     futility_ranking(other),
@@ -239,9 +237,10 @@ pub fn engine_for(
 /// Build a [`ShardedEngine`] for a scale-out sweep cell: `shards`
 /// monomorphized cores (16-way set-associative array, coarse-LRU
 /// ranking *without* the exact-rank shadow — at ≥1M lines the
-/// per-pool shadow treaps would dominate memory and time, and the
-/// sharded sweeps read miss rates and MADs, not exact AEF), each over
-/// `total_lines / shards` lines. The scheme dimension keeps the
+/// per-pool shadow treaps would dominate memory and time, the bucket
+/// lists measured slower than the bare tag map (EXPERIMENTS.md), and
+/// the sharded sweeps read miss rates and MADs, not exact AEF), each
+/// over `total_lines / shards` lines. The scheme dimension keeps the
 /// `engine_for` fast lanes: `"fs-feedback"` and `"unpartitioned"` are
 /// scheme-concrete (byte-lane victim selection folds to constants),
 /// baselines stay boxed.
@@ -261,71 +260,27 @@ pub fn sharded_engine_for(
     partitions: usize,
     seed: u64,
 ) -> ShardedEngine {
-    sharded_engine_for_backend(scheme_name, total_lines, shards, partitions, seed, "treap")
-}
-
-/// [`sharded_engine_for`] with the coarse-LRU backend selectable:
-/// `"treap"` (the default — `CoarseLru::without_exact_shadow`, which
-/// every committed sharded golden was pinned against) or `"bucket"`
-/// ([`BucketCoarseLru`]). Both produce identical futility values, so
-/// hit/miss outcomes and occupancies are bit-identical across backends
-/// and only miss-path cost differs; eviction-futility (AEF) statistics
-/// may differ, as neither backend carries the exact shadow.
-///
-/// # Panics
-/// Panics on unknown backend or scheme names, or on a `total_lines`
-/// that does not split into whole 16-way shard arrays.
-pub fn sharded_engine_for_backend(
-    scheme_name: &str,
-    total_lines: usize,
-    shards: usize,
-    partitions: usize,
-    seed: u64,
-    backend: &str,
-) -> ShardedEngine {
     assert!(shards > 0, "need at least one shard");
     assert_eq!(
         total_lines % (shards * 16),
         0,
         "total_lines must split into whole 16-way shard arrays"
     );
-    assert!(
-        backend == "treap" || backend == "bucket",
-        "unknown coarse-LRU backend {backend}"
-    );
     let lines = total_lines / shards;
     ShardedEngine::new(shards, partitions, |i| {
         let shard_seed = cachesim::prng::seed_for("shard", seed ^ (i as u64) << 32);
         let arr = SetAssociative::with_lines(lines, 16, LineHash::new(shard_seed));
-        match (scheme_name, backend) {
-            ("fs-feedback", "bucket") => Box::new(EngineCore::new(
+        match scheme_name {
+            "fs-feedback" => Box::new(EngineCore::new(
                 arr,
-                BucketCoarseLru::new(),
+                CoarseLru::without_exact_shadow(),
                 FsFeedback::new(FeedbackConfig::default()),
                 partitions,
             )) as Box<dyn Engine>,
-            ("fs-feedback", _) => Box::new(EngineCore::new(
-                arr,
-                CoarseLru::without_exact_shadow(),
-                FsFeedback::new(FeedbackConfig::default()),
-                partitions,
-            )),
-            ("unpartitioned", "bucket") => Box::new(EngineCore::new(
-                arr,
-                BucketCoarseLru::new(),
-                EvictMaxFutility,
-                partitions,
-            )),
-            ("unpartitioned", _) => Box::new(EngineCore::new(
+            "unpartitioned" => Box::new(EngineCore::new(
                 arr,
                 CoarseLru::without_exact_shadow(),
                 EvictMaxFutility,
-                partitions,
-            )),
-            (_, "bucket") => Box::new(EngineCore::new(
-                Box::new(arr) as Box<dyn CacheArray>,
-                Box::new(BucketCoarseLru::new()) as Box<dyn FutilityRanking>,
-                scheme(scheme_name),
                 partitions,
             )),
             _ => Box::new(EngineCore::new(
@@ -413,23 +368,40 @@ mod tests {
     #[test]
     fn engine_for_matches_boxed_composition() {
         use cachesim::{AccessBlock, AccessMeta, PartitionId, PartitionedCache};
+        let set_assoc = || SetAssociative::with_lines(256, 16, LineHash::new(9));
         // One cell per scheme arm of the factory: boxed baseline,
         // concrete fs-feedback and concrete unpartitioned (the latter
         // two exercising the monomorphized byte lane where the ranking
         // supports it). The coarse cells are deliberately cross-backend:
         // `engine_for` hands them the bucket backends while the boxed
         // reference composition uses the treap rankings — identical
-        // futility values must yield identical outcomes. The `-treap` /
-        // `-bucket` suffixed cells pin the explicit A/B arms.
+        // futility values must yield identical outcomes. The `treap`
+        // cells build the treap cores `engine_for` keeps for
+        // `max_futility_line` compositions.
         for (arr, rank, sch) in [
             ("set-assoc", "lru", "pf"),
             ("zcache", "rrip", "fs-feedback"),
             ("rand-cands", "coarse-lru", "fs-feedback"),
             ("set-assoc", "coarse-lru", "unpartitioned"),
-            ("set-assoc", "coarse-lru-treap", "fs-feedback"),
+            ("set-assoc", "coarse-lru treap", "fs-feedback"),
+            ("set-assoc", "rrip treap", "unpartitioned"),
             ("zcache", "rrip-bucket", "fs-feedback"),
         ] {
-            let mut mono = engine_for(arr, rank, sch, 256, 9, 2);
+            let mut mono: Box<dyn Engine> = match (rank, sch) {
+                ("coarse-lru treap", "fs-feedback") => Box::new(EngineCore::new(
+                    set_assoc(),
+                    CoarseLru::new(),
+                    FsFeedback::default_config(),
+                    2,
+                )),
+                ("rrip treap", "unpartitioned") => Box::new(EngineCore::new(
+                    set_assoc(),
+                    Rrip::new(),
+                    EvictMaxFutility,
+                    2,
+                )),
+                _ => engine_for(arr, rank, sch, 256, 9, 2),
+            };
             let array: Box<dyn CacheArray> = match arr {
                 "set-assoc" => l2_array(256, 9),
                 "rand-cands" => Box::new(RandomCandidates::new(256, 16, 9)),
@@ -437,11 +409,7 @@ mod tests {
             };
             // The boxed reference always uses the canonical treap
             // ranking of the family.
-            let boxed_rank = match rank {
-                "coarse-lru-treap" | "coarse-lru-bucket" => "coarse-lru",
-                "rrip-treap" | "rrip-bucket" => "rrip",
-                other => other,
-            };
+            let boxed_rank = rank.trim_end_matches(" treap").trim_end_matches("-bucket");
             let mut boxed =
                 PartitionedCache::new(array, futility_ranking(boxed_rank), scheme(sch), 2);
             let mut block = AccessBlock::new();

@@ -35,7 +35,7 @@
 use crate::array::CacheArray;
 use crate::ids::{AccessMeta, PartitionId, SlotId};
 use crate::ranking_api::{FutilityRanking, HitRecord};
-use crate::recorder::{RecordCtx, Recorder, TimeSeriesRecorder};
+use crate::recorder::{RecordCtx, TimeSeriesRecorder};
 use crate::scheme_api::{Candidate, PartitionScheme, PartitionState, VictimDecision};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
@@ -157,7 +157,7 @@ const LOOKAHEAD: usize = 16;
 
 /// Cap on a gathered certain-miss run. Bounds the O(run²) duplicate
 /// membership scan and keeps the hoisted residency probes within the
-/// same window the lookup prefetcher covers.
+/// same window the lookup prefetcher covers (measured: DESIGN.md §10).
 const MISS_RUN: usize = 16;
 
 /// A partitioned shared cache: array + futility ranking + scheme,
@@ -212,11 +212,7 @@ pub struct EngineCore<A, R, S> {
     hit_run: Vec<HitRecord>,
     /// Optional flight recorder, ticked after every access. `None` (the
     /// default) costs one branch per access and zero allocations.
-    recorder: Option<Box<dyn Recorder>>,
-    /// Cap on a gathered certain-miss run ([`MISS_RUN`] by default;
-    /// 1 disables gathering). A pure perf knob — the replayed decisions
-    /// are bit-identical for any cap — kept out of snapshots.
-    miss_run_cap: usize,
+    recorder: Option<Box<TimeSeriesRecorder>>,
 }
 
 /// The classic boxed composition: an [`EngineCore`] whose components
@@ -265,17 +261,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             decision: VictimDecision::default(),
             hit_run: Vec::new(),
             recorder: None,
-            miss_run_cap: MISS_RUN,
         }
-    }
-
-    /// Set the certain-miss gather cap (clamped to at least 1; 1
-    /// disables gathering so every miss re-probes). Observable behavior
-    /// is identical for any cap — this knob exists for A/B-measuring
-    /// the gather optimisation (EXPERIMENTS.md) — so it is not part of
-    /// snapshots.
-    pub fn set_miss_run_cap(&mut self, cap: usize) {
-        self.miss_run_cap = cap.max(1);
     }
 
     /// Set per-partition targets (lines). Slices shorter than the
@@ -334,39 +320,22 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
         self.time
     }
 
-    /// Attach a flight recorder; it is ticked after every access from
-    /// now on. Replaces (and drops) any previously attached recorder.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Detach and return the attached recorder, if any. The engine
-    /// reverts to the zero-cost no-recorder path.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// The attached recorder, if any (for inspection).
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Convenience: attach a [`TimeSeriesRecorder`] sampling every
-    /// `cadence` accesses into a ring of at most `capacity` samples.
+    /// Attach a [`TimeSeriesRecorder`] sampling every `cadence` accesses
+    /// into a ring of at most `capacity` samples, ticked after every
+    /// access; replaces (and drops) any previously attached recorder.
     pub fn attach_timeseries(&mut self, cadence: u64, capacity: usize) {
-        self.set_recorder(Box::new(TimeSeriesRecorder::new(cadence, capacity)));
+        self.recorder = Some(Box::new(TimeSeriesRecorder::new(cadence, capacity)));
     }
 
-    /// The attached recorder downcast to a [`TimeSeriesRecorder`], if
-    /// it is one.
+    /// The attached [`TimeSeriesRecorder`], if any.
     pub fn timeseries(&self) -> Option<&TimeSeriesRecorder> {
-        self.recorder.as_ref()?.as_any().downcast_ref()
+        self.recorder.as_deref()
     }
 
     /// Mutable access to the attached [`TimeSeriesRecorder`], if any
     /// (e.g. to enable streaming spill or drain rows).
     pub fn timeseries_mut(&mut self) -> Option<&mut TimeSeriesRecorder> {
-        self.recorder.as_mut()?.as_any_mut().downcast_mut()
+        self.recorder.as_deref_mut()
     }
 
     /// Process one access from `part` to line `addr`.
@@ -529,7 +498,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
                     // they overlap in the memory pipeline instead of
                     // serializing behind each miss's candidate walk.
                     let mut j = i + 1;
-                    while j < n && j - i < self.miss_run_cap {
+                    while j < n && j - i < MISS_RUN {
                         let a = addrs[j];
                         if addrs[i..j].contains(&a) || self.array.lookup_occupant(a).is_some() {
                             break;
@@ -580,10 +549,9 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
     }
 
     /// The recorder tick, split out so the no-recorder hot path stays
-    /// small. Taking the recorder out of its `Option` keeps its `&mut`
-    /// disjoint from the state/stats/scheme borrows in the context.
+    /// small.
     fn record_tick(&mut self) {
-        let mut recorder = self.recorder.take().expect("caller checked");
+        let recorder = self.recorder.as_mut().expect("caller checked");
         recorder.record(&RecordCtx {
             time: self.time,
             partitions: self.partitions,
@@ -592,7 +560,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             scheme: &self.scheme,
             ranking: &self.ranking,
         });
-        self.recorder = Some(recorder);
     }
 
     #[inline]
@@ -1030,15 +997,11 @@ pub trait Engine: Send {
     /// Attach a [`TimeSeriesRecorder`] (see
     /// [`EngineCore::attach_timeseries`]).
     fn attach_timeseries(&mut self, cadence: u64, capacity: usize);
-    /// The attached recorder downcast to a [`TimeSeriesRecorder`], if
-    /// it is one.
+    /// The attached [`TimeSeriesRecorder`], if any.
     fn timeseries(&self) -> Option<&TimeSeriesRecorder>;
     /// Mutable access to the attached [`TimeSeriesRecorder`], if any
     /// (e.g. to enable streaming spill or drain rows).
     fn timeseries_mut(&mut self) -> Option<&mut TimeSeriesRecorder>;
-    /// Set the certain-miss gather cap (see
-    /// [`EngineCore::set_miss_run_cap`]).
-    fn set_miss_run_cap(&mut self, cap: usize);
 }
 
 impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> Engine for EngineCore<A, R, S> {
@@ -1100,9 +1063,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> Engine for EngineCor
     }
     fn timeseries_mut(&mut self) -> Option<&mut TimeSeriesRecorder> {
         EngineCore::timeseries_mut(self)
-    }
-    fn set_miss_run_cap(&mut self, cap: usize) {
-        EngineCore::set_miss_run_cap(self, cap)
     }
 }
 
@@ -1242,22 +1202,6 @@ mod tests {
             assert_eq!(last.time, 400);
             assert_eq!(last.value, c.state().actual[part.index()] as f64);
         }
-        // Detaching returns the engine to the no-recorder path.
-        let rec = c.take_recorder().unwrap();
-        assert!(c.timeseries().is_none());
-        let n_before = rec
-            .as_any()
-            .downcast_ref::<crate::recorder::TimeSeriesRecorder>()
-            .unwrap()
-            .len();
-        c.access(PartitionId(0), 9999, AccessMeta::default());
-        assert_eq!(
-            rec.as_any()
-                .downcast_ref::<crate::recorder::TimeSeriesRecorder>()
-                .unwrap()
-                .len(),
-            n_before
-        );
     }
 
     #[test]
@@ -1298,6 +1242,78 @@ mod tests {
         assert_eq!(hits, expect.iter().filter(|o| o.is_hit()).count() as u64);
         assert_eq!(batched.stats().total_hits(), scalar.stats().total_hits());
         assert_eq!(batched.time(), scalar.time());
+    }
+
+    /// Forwards to the wrapped array, logging probes and installs.
+    struct CallLog<A>(A, std::cell::RefCell<Vec<(&'static str, u64)>>);
+
+    impl<A: CacheArray> CacheArray for CallLog<A> {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn num_slots(&self) -> usize {
+            self.0.num_slots()
+        }
+        fn candidates_per_eviction(&self) -> usize {
+            self.0.candidates_per_eviction()
+        }
+        fn lookup(&self, addr: u64) -> Option<SlotId> {
+            self.0.lookup(addr)
+        }
+        fn occupant(&self, slot: SlotId) -> Option<crate::ids::Occupant> {
+            self.0.occupant(slot)
+        }
+        fn candidate_slots(&mut self, addr: u64, out: &mut Vec<SlotId>) {
+            self.0.candidate_slots(addr, out)
+        }
+        fn lookup_occupant(&self, addr: u64) -> Option<(SlotId, crate::ids::Occupant)> {
+            self.1.borrow_mut().push(("probe", addr));
+            self.0.lookup_occupant(addr)
+        }
+        fn evict(&mut self, slot: SlotId) {
+            self.0.evict(slot)
+        }
+        fn install(&mut self, slot: SlotId, addr: u64, part: PartitionId) {
+            self.1.get_mut().push(("install", addr));
+            self.0.install(slot, addr, part)
+        }
+        fn retag(&mut self, slot: SlotId, part: PartitionId) {
+            self.0.retag(slot, part)
+        }
+        fn occupied(&self) -> usize {
+            self.0.occupied()
+        }
+        fn save_state(&self, w: &mut SnapshotWriter) {
+            self.0.save_state(w)
+        }
+        fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
+            self.0.load_state(r)
+        }
+    }
+
+    #[test]
+    fn cold_miss_runs_probe_ahead_of_their_installs() {
+        // Every address is new, so every access is a certain miss: the
+        // gather probes a run of up to MISS_RUN = 16 addresses before the
+        // run's first install. Without it (a cap of 1) only the order
+        // changes: probe, install, probe, …
+        let mut c = EngineCore::new(
+            CallLog(RandomCandidates::new(64, 8, 1), Default::default()),
+            crate::ranking_api::NaiveLru::new(),
+            crate::scheme_api::EvictMaxFutility,
+            1,
+        );
+        let mut block = AccessBlock::new();
+        for i in 0..100u64 {
+            block.push(PartitionId(0), i * 7 + 3, AccessMeta::default());
+        }
+        assert_eq!(c.access_batch(&block), 0);
+        let mut expect = Vec::new();
+        for run in block.addrs().chunks(16) {
+            expect.extend(run.iter().map(|&a| ("probe", a)));
+            expect.extend(run.iter().map(|&a| ("install", a)));
+        }
+        assert_eq!(*c.array.1.borrow(), expect);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod umon;
 pub use engine::{AccessBlock, AccessOutcome, Engine, EngineCore, Eviction, PartitionedCache};
 pub use ids::{AccessMeta, Occupant, PartitionId, SlotId, NO_NEXT_USE};
 pub use ranking_api::{FutilityRanking, HitRecord, HitRunAgg};
-pub use recorder::{RecordCtx, Recorder, Sample, TimeSeriesRecorder};
+pub use recorder::{Sample, TimeSeriesRecorder};
 pub use scheme_api::{Candidate, PartitionScheme, PartitionState, Probe, VictimDecision};
 pub use sharded::{shard_of, ShardedEngine};
 pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};

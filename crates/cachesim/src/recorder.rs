@@ -4,12 +4,12 @@
 //! The paper's sizing claims are temporal — Figure 5's MAD describes a
 //! random walk around target, Algorithm 2 is a feedback controller,
 //! Vantage's apertures move with size error — but end-of-run scalars
-//! cannot show any of that. A [`Recorder`] attached to the engine is
-//! ticked after every access; the stock [`TimeSeriesRecorder`] samples
-//! on an access-count cadence, capturing per-partition
-//! occupancy/target/deviation, interval hit/miss/eviction counts, the
-//! interval AEF, and whatever scheme-specific probes the scheme pushes
-//! through [`PartitionScheme::telemetry`].
+//! cannot show any of that. A [`TimeSeriesRecorder`] attached to the
+//! engine is ticked after every access and samples on an access-count
+//! cadence, capturing per-partition occupancy/target/deviation,
+//! interval hit/miss/eviction counts, the interval AEF, and whatever
+//! scheme-specific probes the scheme pushes through
+//! [`PartitionScheme::telemetry`].
 //!
 //! Cost model: with no recorder attached the engine pays one branch per
 //! access and allocates nothing (see `tests/no_alloc_hot_path.rs`); with
@@ -22,15 +22,14 @@ use crate::ranking_api::FutilityRanking;
 use crate::scheme_api::{PartitionScheme, PartitionState, Probe};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
-use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::Mutex;
 
-/// Everything a [`Recorder`] may inspect on a tick: engine time, the
+/// Everything the recorder may inspect on a tick: engine time, the
 /// sizing state, accumulated statistics and the scheme (for telemetry
 /// probes). Borrows are read-only; a recorder observes, never steers.
-pub struct RecordCtx<'a> {
+pub(crate) struct RecordCtx<'a> {
     /// Engine time (accesses processed so far, including this one).
     pub time: u64,
     /// Number of application partitions (scheme pools excluded — their
@@ -46,40 +45,6 @@ pub struct RecordCtx<'a> {
     /// (ranking op counters; empty unless opted in via
     /// [`FutilityRanking::set_op_probes`]).
     pub ranking: &'a dyn FutilityRanking,
-}
-
-/// An observer ticked by the engine after every completed access while
-/// attached via
-/// [`PartitionedCache::set_recorder`](crate::PartitionedCache::set_recorder).
-pub trait Recorder: Send {
-    /// Observe the cache after one access. Implementations decide their
-    /// own sampling cadence from `ctx.time`.
-    fn record(&mut self, ctx: &RecordCtx<'_>);
-
-    /// Downcast support for retrieving a concrete recorder back from
-    /// the engine.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Serialize the recorder's state for checkpointing. Recorders with
-    /// no replay-relevant state keep the default, which writes an empty
-    /// named section so restore still verifies recorder identity.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.begin("stateless-recorder");
-        w.end();
-    }
-
-    /// Restore state saved by [`save_state`](Self::save_state) into a
-    /// recorder of the same kind and configuration.
-    ///
-    /// # Errors
-    /// [`SnapshotError`] on decode failure or configuration mismatch.
-    fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        r.begin("stateless-recorder")?;
-        r.end()
-    }
 }
 
 /// One recorded time-series sample in long format: at `time`, series
@@ -361,8 +326,10 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-impl Recorder for TimeSeriesRecorder {
-    fn record(&mut self, ctx: &RecordCtx<'_>) {
+impl TimeSeriesRecorder {
+    /// Observe the cache after one access; samples only when `ctx.time`
+    /// is a multiple of the cadence.
+    pub(crate) fn record(&mut self, ctx: &RecordCtx<'_>) {
         if !ctx.time.is_multiple_of(self.cadence) {
             return;
         }
@@ -427,15 +394,9 @@ impl Recorder for TimeSeriesRecorder {
         self.probes = probes;
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
+    /// Serialize the recorder's state (configuration, ring, interval
+    /// baselines and counters) for checkpointing.
+    pub(crate) fn save_state(&self, w: &mut SnapshotWriter) {
         w.begin("timeseries-recorder");
         w.u64(self.cadence);
         w.usize(self.capacity);
@@ -465,7 +426,9 @@ impl Recorder for TimeSeriesRecorder {
         w.end();
     }
 
-    fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
+    /// Restore state saved by [`save_state`](Self::save_state); fails on
+    /// decode errors or a cadence/capacity mismatch.
+    pub(crate) fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         r.begin("timeseries-recorder")?;
         let (cadence, capacity) = (r.u64()?, r.usize()?);
         if cadence != self.cadence || capacity != self.capacity {

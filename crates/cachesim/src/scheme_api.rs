@@ -24,8 +24,8 @@ pub struct Candidate {
 /// One scheme-specific telemetry sample pushed through
 /// [`PartitionScheme::telemetry`]: a named series, optionally tied to a
 /// pool, with the probe's current value. Collected by an attached
-/// [`Recorder`](crate::recorder::Recorder) alongside the engine's
-/// standard per-partition series.
+/// [`TimeSeriesRecorder`](crate::recorder::TimeSeriesRecorder)
+/// alongside the engine's standard per-partition series.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Probe {
     /// Series name, e.g. `"alpha"`, `"aperture"`, `"shift_width"`.
@@ -274,10 +274,12 @@ pub trait PartitionScheme: Send {
 
     /// Push the scheme's current internal control variables (scaling
     /// factors, apertures, shift widths, fallback rates, …) into `out`
-    /// for an attached [`Recorder`](crate::recorder::Recorder). Called
-    /// only on recorder sampling ticks — never on the recorder-disabled
-    /// path — so implementations may do modest per-call work, but must
-    /// not assume any particular cadence. The default emits nothing.
+    /// for an attached
+    /// [`TimeSeriesRecorder`](crate::recorder::TimeSeriesRecorder).
+    /// Called only on recorder sampling ticks — never on the
+    /// recorder-disabled path — so implementations may do modest
+    /// per-call work, but must not assume any particular cadence. The
+    /// default emits nothing.
     fn telemetry(&self, _state: &PartitionState, _out: &mut Vec<Probe>) {}
 
     /// Serialize the scheme's internal control state (feedback

@@ -335,14 +335,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Forward a certain-miss gather cap to every shard (see
-    /// [`EngineCore::set_miss_run_cap`](crate::EngineCore::set_miss_run_cap)).
-    pub fn set_miss_run_cap(&mut self, cap: usize) {
-        for shard in &mut self.shards {
-            shard.set_miss_run_cap(cap);
-        }
-    }
-
     /// Merged flight-recorder rows, shard-keyed: each shard's retained
     /// time-series rows (`time,series,part,value`) prefixed with the
     /// shard index and concatenated in shard order (header:
@@ -628,9 +620,6 @@ mod tests {
         }
         fn timeseries_mut(&mut self) -> Option<&mut crate::TimeSeriesRecorder> {
             self.inner.timeseries_mut()
-        }
-        fn set_miss_run_cap(&mut self, cap: usize) {
-            self.inner.set_miss_run_cap(cap)
         }
     }
 

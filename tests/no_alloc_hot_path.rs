@@ -8,6 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -34,12 +35,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+use cachesim::array::SetAssociative;
+use cachesim::hashing::LineHash;
 use cachesim::prng::{seed_for, Prng};
-use cachesim::{AccessMeta, PartitionId, PartitionedCache, Trace};
+use cachesim::scheme_api::EvictMaxFutility;
+use cachesim::{AccessMeta, Engine, EngineCore, PartitionId, PartitionedCache, Trace};
+use futility_core::FsFeedback;
+use ranking::{CoarseLru, Rrip};
 
 const PARTS: usize = 4;
 const LINES: usize = 512;
 const ACCESSES: usize = 20_000;
+
+/// The counter is process-wide and tests run on parallel threads, so
+/// each test holds this lock while it counts (even once poisoned).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Eviction-heavy trace over a bounded universe (~4× the cache), so the
 /// steady state both misses constantly and revisits every address.
@@ -69,6 +82,7 @@ fn drive(cache: &mut PartitionedCache, wl: &(Vec<u16>, Vec<u64>, Vec<u64>)) {
 
 #[test]
 fn warm_cache_access_never_allocates() {
+    let _serial = serial();
     let wl = workload();
     let rankings = [
         "lru",
@@ -138,6 +152,7 @@ fn warm_cache_access_never_allocates() {
 /// same engines the throughput bench times.
 #[test]
 fn warm_batched_access_never_allocates() {
+    let _serial = serial();
     let wl = workload();
     let metas: Vec<AccessMeta> =
         wl.2.iter()
@@ -203,13 +218,14 @@ fn warm_batched_access_never_allocates() {
 /// the run gatherer plus both byte-lane scratch buffers — the engine's
 /// raw-numerator vector (coarse-lru / rrip) and fs-feedback's shifted
 /// copy — alongside a treap-exact ranking whose miss path stays on the
-/// f64 lane. The unsuffixed coarse names resolve to the *bucket*
-/// backends through `engine_for` (the default fast lane), so the first
-/// four cells prove the bucket-backed miss path — node free-list reuse
-/// across the evict-then-install order — and the `-treap` cells keep
-/// the retired arenas covered.
+/// f64 lane. The coarse names resolve to the *bucket* backends through
+/// `engine_for` (the default fast lane), so the first four cells prove
+/// the bucket-backed miss path — node free-list reuse across the
+/// evict-then-install order — and the two treap cores, built directly,
+/// keep the treap arenas covered.
 #[test]
 fn warm_batched_miss_runs_never_allocate() {
+    let _serial = serial();
     let mut rng = Prng::seed_from_u64(seed_for("no_alloc_miss_runs", 0));
     let mut parts = Vec::with_capacity(ACCESSES);
     let mut addrs = Vec::with_capacity(ACCESSES);
@@ -219,17 +235,32 @@ fn warm_batched_miss_runs_never_allocate() {
         addrs.push(p as u64 * 10_000_000 + rng.gen_range(0..64 * LINES as u64));
     }
     let metas = vec![AccessMeta::default(); ACCESSES];
+    let set_assoc = || SetAssociative::with_lines(LINES, 16, LineHash::new(7));
     let mut failures = Vec::new();
     for (ranking, scheme) in [
         ("coarse-lru", "fs-feedback"),
         ("rrip", "unpartitioned"),
         ("coarse-lru", "unpartitioned"),
         ("rrip", "fs-feedback"),
-        ("coarse-lru-treap", "fs-feedback"),
-        ("rrip-treap", "unpartitioned"),
+        ("coarse-lru treap", "fs-feedback"),
+        ("rrip treap", "unpartitioned"),
         ("lru", "fs-feedback"),
     ] {
-        let mut cache = fs_bench::engine_for("set-assoc", ranking, scheme, LINES, 7, PARTS);
+        let mut cache: Box<dyn Engine> = match (ranking, scheme) {
+            ("coarse-lru treap", "fs-feedback") => Box::new(EngineCore::new(
+                set_assoc(),
+                CoarseLru::new(),
+                FsFeedback::default_config(),
+                PARTS,
+            )),
+            ("rrip treap", "unpartitioned") => Box::new(EngineCore::new(
+                set_assoc(),
+                Rrip::new(),
+                EvictMaxFutility,
+                PARTS,
+            )),
+            _ => fs_bench::engine_for("set-assoc", ranking, scheme, LINES, 7, PARTS),
+        };
         cache.stats_mut().sample_deviation = false;
         let mut consecutive_clean = 0;
         for _ in 0..10 {
@@ -264,6 +295,7 @@ fn warm_batched_miss_runs_never_allocate() {
 /// state leak.
 #[test]
 fn warm_access_between_checkpoints_never_allocates() {
+    let _serial = serial();
     let wl = workload();
     for (ranking, scheme) in [("lru", "fs-feedback"), ("rrip", "vantage")] {
         let mut cache = PartitionedCache::new(
@@ -329,6 +361,7 @@ fn warm_access_between_checkpoints_never_allocates() {
 /// allocate nothing.
 #[test]
 fn warm_tenancy_loop_with_resolves_never_allocates() {
+    let _serial = serial();
     use cachesim::AccessBlock;
     use tenancy::{QosBuilder, TenancyDriver, TenantSpec, UmonConfig, UtilityAllocator};
 
@@ -392,6 +425,7 @@ fn warm_tenancy_loop_with_resolves_never_allocates() {
 
 #[test]
 fn stats_construction_is_cheap_and_histogram_lazy() {
+    let _serial = serial();
     // Constructing stats for many partitions must be O(partitions)
     // small allocations — not 1000-bin futility histograms per
     // partition. With the histogram opt-in left off, even recording
@@ -434,6 +468,7 @@ fn stats_construction_is_cheap_and_histogram_lazy() {
 /// so it stays outside the counted region.
 #[test]
 fn warm_sharded_split_loop_never_allocates() {
+    let _serial = serial();
     use cachesim::AccessBlock;
 
     const SHARDS: usize = 4;

@@ -288,26 +288,10 @@ fn checkpoint_before_warmup_reset_replays() {
 /// statistics, merged recorder rows, and final snapshot bytes.
 #[test]
 fn sharded_snapshot_resume_replays() {
-    // Both coarse-LRU backends: the treap default and the two-level
-    // bucket structure, whose nested per-shard images carry the
-    // "coarse-lru-bucket" FSSN section.
-    for backend in ["treap", "bucket"] {
-        sharded_snapshot_resume_replays_with(backend);
-    }
-}
-
-fn sharded_snapshot_resume_replays_with(backend: &str) {
     const SHARDS: usize = 4;
     const SH_PARTS: usize = 4;
     let build_sharded = || {
-        let mut e = fs_bench::sharded_engine_for_backend(
-            "fs-feedback",
-            1024,
-            SHARDS,
-            SH_PARTS,
-            0xBEEF,
-            backend,
-        );
+        let mut e = fs_bench::sharded_engine_for("fs-feedback", 1024, SHARDS, SH_PARTS, 0xBEEF);
         e.attach_timeseries(64, 256);
         e
     };
@@ -354,23 +338,40 @@ fn sharded_snapshot_resume_replays_with(backend: &str) {
 
     // Composition checks: wrong shard count and wrong partition count
     // both fail descriptively, and never panic.
-    let err =
-        fs_bench::sharded_engine_for_backend("fs-feedback", 1024, 2, SH_PARTS, 0xBEEF, backend)
-            .restore(&snap)
-            .expect_err("shard-count mismatch must be rejected");
+    let err = fs_bench::sharded_engine_for("fs-feedback", 1024, 2, SH_PARTS, 0xBEEF)
+        .restore(&snap)
+        .expect_err("shard-count mismatch must be rejected");
     assert!(format!("{err}").contains("shards"), "{err}");
-    let err = fs_bench::sharded_engine_for_backend("fs-feedback", 1024, SHARDS, 8, 0xBEEF, backend)
+    let err = fs_bench::sharded_engine_for("fs-feedback", 1024, SHARDS, 8, 0xBEEF)
         .restore(&snap)
         .expect_err("partition-count mismatch must be rejected");
     assert!(format!("{err}").contains("partitions"), "{err}");
-    // Backend mismatch: a snapshot from one coarse-LRU backend must not
-    // restore into the other (different FSSN ranking sections).
-    let other = if backend == "treap" {
-        "bucket"
-    } else {
-        "treap"
-    };
-    fs_bench::sharded_engine_for_backend("fs-feedback", 1024, SHARDS, SH_PARTS, 0xBEEF, other)
-        .restore(&snap)
-        .expect_err("backend mismatch must be rejected");
+}
+
+/// A snapshot of the bucket coarse LRU must not restore into the
+/// shadow-less scalar one the sharded engine uses, nor the reverse.
+#[test]
+fn coarse_lru_backend_mismatch_is_rejected() {
+    fn engine(ranking: impl FutilityRanking + 'static) -> Box<dyn Engine> {
+        Box::new(EngineCore::new(
+            SetAssociative::with_lines(256, 16, LineHash::new(0xBEEF)),
+            ranking,
+            FsFeedback::default_config(),
+            PARTS,
+        ))
+    }
+    let bucket = || engine(ranking::BucketCoarseLru::new());
+    let scalar = || engine(ranking::CoarseLru::without_exact_shadow());
+    for (mut donor, mut other) in [(bucket(), scalar()), (scalar(), bucket())] {
+        for (part, addr, meta) in stream(0xFEED, 2_000) {
+            donor.access(part, addr, meta);
+        }
+        let err = other
+            .restore(&donor.snapshot())
+            .expect_err("backend mismatch must be rejected");
+        assert!(
+            matches!(err, cachesim::SnapshotError::Mismatch { .. }),
+            "{err}"
+        );
+    }
 }
