@@ -20,7 +20,6 @@ use std::path::{Path, PathBuf};
 pub mod checkpoint;
 pub mod experiments;
 pub mod runner;
-pub mod timing;
 
 /// Cache line size used throughout (Table II).
 pub const LINE_BYTES: usize = 64;
@@ -146,10 +145,9 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 
 /// Build an engine for one benchmark-grid cell, monomorphized over the
 /// array × ranking × scheme combination (120 concrete [`EngineCore`]s
-/// behind one object-safe [`Engine`]). The array geometry matches
-/// `bench_engine`'s grid: 16 candidate ways per array kind at the given
-/// line count. The scheme dimension is devirtualized for the two fast
-/// lanes the paper's experiments hammer — `"fs-feedback"` and
+/// behind one object-safe [`Engine`]), with 16 candidate ways per
+/// array kind at the given line count. The scheme dimension is
+/// devirtualized for the two fast lanes — `"fs-feedback"` and
 /// `"unpartitioned"` — whose byte-lane capability checks and
 /// `notify_insert`/`notify_evict` hooks then inline to constants on the
 /// batched miss path; the remaining baselines stay trait objects to
@@ -167,8 +165,7 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 ///
 /// Unknown ranking names fall back to the fully boxed
 /// [`PartitionedCache`](cachesim::PartitionedCache) composition;
-/// unknown array names panic (the experiment binaries are the only
-/// callers).
+/// unknown array names panic.
 pub fn engine_for(
     array: &str,
     ranking_name: &str,

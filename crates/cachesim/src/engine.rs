@@ -3,22 +3,19 @@
 //! shared cache.
 //!
 //! The engine is generic: [`EngineCore<A, R, S>`] is monomorphized over
-//! its three components, so the hot grid combinations used by the
-//! throughput benches and figure sweeps compile to fully inlined,
-//! devirtualized cores (see `fs_bench::engine_for`). The historical
-//! boxed composition survives unchanged as the [`PartitionedCache`]
-//! type alias — `EngineCore` over `Box<dyn …>` components — so every
-//! existing experiment and test API keeps working.
+//! its three components, so `fs_bench::engine_for` can build fully
+//! inlined, devirtualized cores for the grid that `perfbench` and the
+//! sharded engines drive. The boxed composition survives as the
+//! [`PartitionedCache`] type alias — `EngineCore` over `Box<dyn …>`
+//! components — which is what the figure experiments and most tests
+//! build.
 //!
 //! Accesses enter either one at a time ([`EngineCore::access`]) or in
 //! blocks ([`EngineCore::access_batch`]): the batched pipeline applies
 //! runs of consecutive hits through one bulk
 //! [`on_hit_batch`](crate::ranking_api::FutilityRanking::on_hit_batch)
-//! ranking call — which treap-backed rankings deduplicate per line —
-//! and gathers runs of consecutive *certain misses* (addresses probed
-//! absent and not installed earlier in the run) so their replacement
-//! decisions execute back to back with the residency probes hoisted
-//! out. Replacement itself takes the byte lane where the composition
+//! ranking call, which treap-backed rankings deduplicate per line.
+//! Replacement itself takes the byte lane where the composition
 //! supports it: hardware-futility rankings
 //! ([`futility_bytes`](crate::ranking_api::FutilityRanking::futility_bytes))
 //! hand raw `u8`-range numerators to byte-capable schemes
@@ -154,11 +151,6 @@ impl AccessBlock {
 /// interleaved walk width: enough in-flight loads to cover memory
 /// latency, few enough to not thrash L1.
 const LOOKAHEAD: usize = 16;
-
-/// Cap on a gathered certain-miss run. Bounds the O(run²) duplicate
-/// membership scan and keeps the hoisted residency probes within the
-/// same window the lookup prefetcher covers (measured: DESIGN.md §10).
-const MISS_RUN: usize = 16;
 
 /// A partitioned shared cache: array + futility ranking + scheme,
 /// monomorphized over the three component types.
@@ -357,7 +349,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
     /// of up to 16 upcoming accesses hinted ahead of the dependent
     /// lookups.
     pub fn access_batch(&mut self, block: &AccessBlock) -> u64 {
-        self.access_batch_slices(&block.parts, &block.addrs, &block.metas)
+        self.batch_impl::<false>(block, &mut Vec::new())
     }
 
     /// [`access_batch`](Self::access_batch), additionally appending
@@ -367,33 +359,15 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
         block: &AccessBlock,
         outcomes: &mut Vec<AccessOutcome>,
     ) -> u64 {
-        self.batch_impl::<true>(&block.parts, &block.addrs, &block.metas, outcomes)
-    }
-
-    /// Slice form of [`access_batch`](Self::access_batch), for drivers
-    /// that already hold struct-of-arrays access streams.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn access_batch_slices(
-        &mut self,
-        parts: &[PartitionId],
-        addrs: &[u64],
-        metas: &[AccessMeta],
-    ) -> u64 {
-        let mut sink = Vec::new();
-        self.batch_impl::<false>(parts, addrs, metas, &mut sink)
+        self.batch_impl::<true>(block, outcomes)
     }
 
     fn batch_impl<const RECORD: bool>(
         &mut self,
-        parts: &[PartitionId],
-        addrs: &[u64],
-        metas: &[AccessMeta],
+        block: &AccessBlock,
         outcomes: &mut Vec<AccessOutcome>,
     ) -> u64 {
-        assert_eq!(parts.len(), addrs.len(), "batch slice lengths differ");
-        assert_eq!(metas.len(), addrs.len(), "batch slice lengths differ");
+        let (parts, addrs, metas) = (&block.parts[..], &block.addrs[..], &block.metas[..]);
         let n = addrs.len();
         if RECORD {
             outcomes.reserve(n);
@@ -421,8 +395,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
         // both hooks are opt-in, checked once per batch.
         let collect_hits = self.ranking.wants_hit_records();
         let prefetch = self.array.wants_lookup_prefetch();
-        let mut i = 0usize;
-        while i < n {
+        for i in 0..n {
             // Keep up to LOOKAHEAD lookup hints in flight. The hint is
             // issued before the dependent lookup chain below, so by the
             // time access `i + LOOKAHEAD` is processed the index lines
@@ -459,7 +432,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
                     if RECORD {
                         outcomes.push(AccessOutcome::Hit);
                     }
-                    i += 1;
                 }
                 Some((slot, occ)) => {
                     // Foreign hit: the scheme may retag, which touches
@@ -478,46 +450,15 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
                     if RECORD {
                         outcomes.push(AccessOutcome::Hit);
                     }
-                    i += 1;
                 }
                 None => {
                     // Replacement decisions read ranking state: the
                     // deferred hits must land first.
                     self.flush_hit_run();
-                    // Certain-miss run gathering: scan ahead while the
-                    // upcoming addresses are (a) absent from the array
-                    // *now* and (b) not installed by an earlier access
-                    // of this run. Evictions only remove lines and the
-                    // run only installs its own addresses, so every
-                    // gathered access is still guaranteed to miss when
-                    // its turn comes — its re-probe is the only thing
-                    // skipped, and the replacement decisions execute
-                    // back to back in original order, bit-identically.
-                    // The gather probes themselves are independent
-                    // lookups with no replacement work interleaved, so
-                    // they overlap in the memory pipeline instead of
-                    // serializing behind each miss's candidate walk.
-                    let mut j = i + 1;
-                    while j < n && j - i < MISS_RUN {
-                        let a = addrs[j];
-                        if addrs[i..j].contains(&a) || self.array.lookup_occupant(a).is_some() {
-                            break;
-                        }
-                        j += 1;
-                    }
                     let out = self.miss_path(part, addr, meta);
                     if RECORD {
                         outcomes.push(out);
                     }
-                    for k in (i + 1)..j {
-                        debug_assert!(parts[k].index() < self.partitions, "foreign pool access");
-                        self.time += 1;
-                        let out = self.miss_path(parts[k], addrs[k], metas[k]);
-                        if RECORD {
-                            outcomes.push(out);
-                        }
-                    }
-                    i = j;
                 }
             }
         }
@@ -964,13 +905,6 @@ pub trait Engine: Send {
     /// Batched processing that also reports per-access outcomes (see
     /// [`EngineCore::access_batch_into`]).
     fn access_batch_into(&mut self, block: &AccessBlock, outcomes: &mut Vec<AccessOutcome>) -> u64;
-    /// Slice form of [`access_batch`](Engine::access_batch).
-    fn access_batch_slices(
-        &mut self,
-        parts: &[PartitionId],
-        addrs: &[u64],
-        metas: &[AccessMeta],
-    ) -> u64;
     /// Set per-partition targets (see [`EngineCore::set_targets`]).
     fn set_targets(&mut self, targets: &[usize]);
     /// Number of application partitions.
@@ -1013,14 +947,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> Engine for EngineCor
     }
     fn access_batch_into(&mut self, block: &AccessBlock, outcomes: &mut Vec<AccessOutcome>) -> u64 {
         EngineCore::access_batch_into(self, block, outcomes)
-    }
-    fn access_batch_slices(
-        &mut self,
-        parts: &[PartitionId],
-        addrs: &[u64],
-        metas: &[AccessMeta],
-    ) -> u64 {
-        EngineCore::access_batch_slices(self, parts, addrs, metas)
     }
     fn set_targets(&mut self, targets: &[usize]) {
         EngineCore::set_targets(self, targets)
@@ -1242,78 +1168,6 @@ mod tests {
         assert_eq!(hits, expect.iter().filter(|o| o.is_hit()).count() as u64);
         assert_eq!(batched.stats().total_hits(), scalar.stats().total_hits());
         assert_eq!(batched.time(), scalar.time());
-    }
-
-    /// Forwards to the wrapped array, logging probes and installs.
-    struct CallLog<A>(A, std::cell::RefCell<Vec<(&'static str, u64)>>);
-
-    impl<A: CacheArray> CacheArray for CallLog<A> {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn num_slots(&self) -> usize {
-            self.0.num_slots()
-        }
-        fn candidates_per_eviction(&self) -> usize {
-            self.0.candidates_per_eviction()
-        }
-        fn lookup(&self, addr: u64) -> Option<SlotId> {
-            self.0.lookup(addr)
-        }
-        fn occupant(&self, slot: SlotId) -> Option<crate::ids::Occupant> {
-            self.0.occupant(slot)
-        }
-        fn candidate_slots(&mut self, addr: u64, out: &mut Vec<SlotId>) {
-            self.0.candidate_slots(addr, out)
-        }
-        fn lookup_occupant(&self, addr: u64) -> Option<(SlotId, crate::ids::Occupant)> {
-            self.1.borrow_mut().push(("probe", addr));
-            self.0.lookup_occupant(addr)
-        }
-        fn evict(&mut self, slot: SlotId) {
-            self.0.evict(slot)
-        }
-        fn install(&mut self, slot: SlotId, addr: u64, part: PartitionId) {
-            self.1.get_mut().push(("install", addr));
-            self.0.install(slot, addr, part)
-        }
-        fn retag(&mut self, slot: SlotId, part: PartitionId) {
-            self.0.retag(slot, part)
-        }
-        fn occupied(&self) -> usize {
-            self.0.occupied()
-        }
-        fn save_state(&self, w: &mut SnapshotWriter) {
-            self.0.save_state(w)
-        }
-        fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-            self.0.load_state(r)
-        }
-    }
-
-    #[test]
-    fn cold_miss_runs_probe_ahead_of_their_installs() {
-        // Every address is new, so every access is a certain miss: the
-        // gather probes a run of up to MISS_RUN = 16 addresses before the
-        // run's first install. Without it (a cap of 1) only the order
-        // changes: probe, install, probe, …
-        let mut c = EngineCore::new(
-            CallLog(RandomCandidates::new(64, 8, 1), Default::default()),
-            crate::ranking_api::NaiveLru::new(),
-            crate::scheme_api::EvictMaxFutility,
-            1,
-        );
-        let mut block = AccessBlock::new();
-        for i in 0..100u64 {
-            block.push(PartitionId(0), i * 7 + 3, AccessMeta::default());
-        }
-        assert_eq!(c.access_batch(&block), 0);
-        let mut expect = Vec::new();
-        for run in block.addrs().chunks(16) {
-            expect.extend(run.iter().map(|&a| ("probe", a)));
-            expect.extend(run.iter().map(|&a| ("install", a)));
-        }
-        assert_eq!(*c.array.1.borrow(), expect);
     }
 
     #[test]

@@ -571,14 +571,6 @@ mod tests {
         ) -> u64 {
             self.inner.access_batch_into(block, outcomes)
         }
-        fn access_batch_slices(
-            &mut self,
-            parts: &[PartitionId],
-            addrs: &[u64],
-            metas: &[AccessMeta],
-        ) -> u64 {
-            self.inner.access_batch_slices(parts, addrs, metas)
-        }
         fn set_targets(&mut self, targets: &[usize]) {
             self.inner.set_targets(targets)
         }

@@ -195,8 +195,8 @@ fn batch_straddles_warmup_reset() {
 }
 
 /// Drive `stream` through a scalar and a batched engine of the given
-/// grid cell (blocks of 64, so gathered miss runs cap out and block
-/// tails land mid-run) and require identical outcomes and statistics.
+/// grid cell (blocks of 64, so block tails land mid-run) and require
+/// identical outcomes and statistics.
 fn assert_streams_match(
     array_idx: usize,
     ranking_idx: usize,
@@ -238,9 +238,9 @@ fn assert_streams_match(
 }
 
 /// Miss-dominated blocks over the full grid: an address universe far
-/// larger than the 32-line caches keeps the certain-miss run gatherer
-/// (and, where the composition supports it, the byte-lane SWAR victim
-/// pick) engaged for essentially every access.
+/// larger than the 32-line caches keeps the miss path (and, where the
+/// composition supports it, the byte-lane SWAR victim pick) engaged
+/// for essentially every access.
 #[test]
 fn miss_dominated_blocks_match_scalar_across_grid() {
     for array_idx in 0..ARRAYS {
@@ -260,8 +260,8 @@ fn miss_dominated_blocks_match_scalar_across_grid() {
 
 /// Alternating hit/miss blocks over the full grid: eight accesses to a
 /// small resident set, then eight churn accesses, so every block
-/// boundary flips between the deferred-hit-run and gathered-miss-run
-/// machinery (including runs cut short by an intervening hit).
+/// boundary flips between deferring a hit run and flushing it before a
+/// miss (including runs cut short by an intervening miss).
 #[test]
 fn alternating_hit_miss_blocks_match_scalar_across_grid() {
     for array_idx in 0..ARRAYS {

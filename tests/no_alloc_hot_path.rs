@@ -39,7 +39,7 @@ use cachesim::array::SetAssociative;
 use cachesim::hashing::LineHash;
 use cachesim::prng::{seed_for, Prng};
 use cachesim::scheme_api::EvictMaxFutility;
-use cachesim::{AccessMeta, Engine, EngineCore, PartitionId, PartitionedCache, Trace};
+use cachesim::{AccessBlock, AccessMeta, Engine, EngineCore, PartitionId, PartitionedCache, Trace};
 use futility_core::FsFeedback;
 use ranking::{CoarseLru, Rrip};
 
@@ -149,17 +149,19 @@ fn warm_cache_access_never_allocates() {
 /// once warm: the deferred hit-run buffer and the candidate scratch
 /// reach their high-water marks during warmup and are reused from then
 /// on. Checked on the monomorphized cores (`fs_bench::engine_for`), the
-/// same engines the throughput bench times.
+/// same engines perfbench times.
 #[test]
 fn warm_batched_access_never_allocates() {
     let _serial = serial();
     let wl = workload();
-    let metas: Vec<AccessMeta> =
-        wl.2.iter()
-            .copied()
-            .map(AccessMeta::with_next_use)
-            .collect();
-    let parts: Vec<PartitionId> = wl.0.iter().copied().map(PartitionId).collect();
+    let mut block = AccessBlock::with_capacity(wl.1.len());
+    for i in 0..wl.1.len() {
+        block.push(
+            PartitionId(wl.0[i]),
+            wl.1[i],
+            AccessMeta::with_next_use(wl.2[i]),
+        );
+    }
     let rankings = [
         "lru",
         "coarse-lru",
@@ -189,7 +191,7 @@ fn warm_batched_access_never_allocates() {
             let mut consecutive_clean = 0;
             for _ in 0..10 {
                 let before = ALLOCS.load(Ordering::Relaxed);
-                cache.access_batch_slices(&parts, &wl.1, &metas);
+                cache.access_batch(&block);
                 if ALLOCS.load(Ordering::Relaxed) == before {
                     consecutive_clean += 1;
                     if consecutive_clean == 2 {
@@ -213,12 +215,11 @@ fn warm_batched_access_never_allocates() {
 
 /// The batched *miss* path must reuse its scratch too: an
 /// overwhelming-miss trace (universe 64× the cache, so nearly every
-/// access gathers into a certain-miss run) must reach the same
-/// two-consecutive-clean-passes steady state. Cells are chosen to cover
-/// the run gatherer plus both byte-lane scratch buffers — the engine's
-/// raw-numerator vector (coarse-lru / rrip) and fs-feedback's shifted
-/// copy — alongside a treap-exact ranking whose miss path stays on the
-/// f64 lane. The coarse names resolve to the *bucket* backends through
+/// access misses) must reach the same two-consecutive-clean-passes
+/// steady state. Cells are chosen to cover both byte-lane scratch
+/// buffers — the engine's raw-numerator vector (coarse-lru / rrip) and
+/// fs-feedback's shifted copy — alongside a treap-exact ranking whose
+/// miss path stays on the f64 lane. The coarse names resolve to the *bucket* backends through
 /// `engine_for` (the default fast lane), so the first four cells prove
 /// the bucket-backed miss path — node free-list reuse across the
 /// evict-then-install order — and the two treap cores, built directly,
@@ -227,14 +228,12 @@ fn warm_batched_access_never_allocates() {
 fn warm_batched_miss_runs_never_allocate() {
     let _serial = serial();
     let mut rng = Prng::seed_from_u64(seed_for("no_alloc_miss_runs", 0));
-    let mut parts = Vec::with_capacity(ACCESSES);
-    let mut addrs = Vec::with_capacity(ACCESSES);
+    let mut block = AccessBlock::with_capacity(ACCESSES);
     for _ in 0..ACCESSES {
         let p: u16 = rng.gen_range(0..PARTS as u16);
-        parts.push(PartitionId(p));
-        addrs.push(p as u64 * 10_000_000 + rng.gen_range(0..64 * LINES as u64));
+        let addr = p as u64 * 10_000_000 + rng.gen_range(0..64 * LINES as u64);
+        block.push(PartitionId(p), addr, AccessMeta::default());
     }
-    let metas = vec![AccessMeta::default(); ACCESSES];
     let set_assoc = || SetAssociative::with_lines(LINES, 16, LineHash::new(7));
     let mut failures = Vec::new();
     for (ranking, scheme) in [
@@ -265,7 +264,7 @@ fn warm_batched_miss_runs_never_allocate() {
         let mut consecutive_clean = 0;
         for _ in 0..10 {
             let before = ALLOCS.load(Ordering::Relaxed);
-            cache.access_batch_slices(&parts, &addrs, &metas);
+            cache.access_batch(&block);
             if ALLOCS.load(Ordering::Relaxed) == before {
                 consecutive_clean += 1;
                 if consecutive_clean == 2 {
@@ -362,7 +361,6 @@ fn warm_access_between_checkpoints_never_allocates() {
 #[test]
 fn warm_tenancy_loop_with_resolves_never_allocates() {
     let _serial = serial();
-    use cachesim::AccessBlock;
     use tenancy::{QosBuilder, TenancyDriver, TenantSpec, UmonConfig, UtilityAllocator};
 
     const TENANTS: usize = 3;
@@ -469,7 +467,6 @@ fn stats_construction_is_cheap_and_histogram_lazy() {
 #[test]
 fn warm_sharded_split_loop_never_allocates() {
     let _serial = serial();
-    use cachesim::AccessBlock;
 
     const SHARDS: usize = 4;
     let wl = workload();
