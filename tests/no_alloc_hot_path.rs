@@ -7,6 +7,7 @@
 //! ranking × scheme combination on the default set-associative array.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -14,17 +15,35 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's share of `ALLOCS`. A single-shot count of
+    /// single-threaded code reads it, because the test harness's own
+    /// threads (reporting a finished test) can allocate at any moment.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    // A const-initialised `Cell` has no destructor, so this cannot fail
+    // even while the thread is being torn down.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -428,16 +447,16 @@ fn stats_construction_is_cheap_and_histogram_lazy() {
     // small allocations — not 1000-bin futility histograms per
     // partition. With the histogram opt-in left off, even recording
     // evictions must not allocate the bins.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     let mut stats = cachesim::CacheStats::new(64);
-    let after_new = ALLOCS.load(Ordering::Relaxed);
+    let after_new = thread_allocs();
     assert!(
         after_new - before <= 8,
         "CacheStats::new(64) did {} allocations — histogram no longer lazy?",
         after_new - before
     );
     stats.record_eviction(PartitionId(3), 0.5);
-    let after_evict = ALLOCS.load(Ordering::Relaxed);
+    let after_evict = thread_allocs();
     assert_eq!(
         after_evict, after_new,
         "record_eviction allocated without futility_histogram opt-in"
@@ -446,13 +465,13 @@ fn stats_construction_is_cheap_and_histogram_lazy() {
     stats.futility_histogram = true;
     stats.record_eviction(PartitionId(3), 0.5);
     assert!(
-        ALLOCS.load(Ordering::Relaxed) > after_evict,
+        thread_allocs() > after_evict,
         "opt-in first eviction must allocate the histogram"
     );
-    let after_first = ALLOCS.load(Ordering::Relaxed);
+    let after_first = thread_allocs();
     stats.record_eviction(PartitionId(3), 0.9);
     assert_eq!(
-        ALLOCS.load(Ordering::Relaxed),
+        thread_allocs(),
         after_first,
         "later evictions reuse the allocated histogram"
     );
