@@ -2,14 +2,18 @@
 //! augmentation, giving `O(log n)` insert, remove, rank and select.
 //!
 //! Exact futility is an *order-statistic* problem (the paper defines a
-//! line's futility as its rank normalized to `[0,1]`), so one structure
-//! backs the exact LRU, LFU and OPT rankings as well as the "true
-//! futility" measurement hooks: keys are `(ordering value, line address)`
-//! pairs, ranks are counts of strictly smaller keys.
+//! line's futility as its rank normalized to `[0,1]`). The treap backs
+//! the rankings whose keys arrive in no particular order (LFU, OPT,
+//! random) and the reference exact-LRU rankings the tests compare
+//! against; keys are `(ordering value, line address)` pairs, ranks are
+//! counts of strictly smaller keys. Exact LRU itself, whose keys are
+//! increasing access times, ranks by prefix counts over stamps instead
+//! (the `ranking` crate's recency index).
 //!
 //! The implementation is an arena-backed treap with deterministic
 //! priorities drawn from an internal xorshift stream, so simulations are
-//! reproducible.
+//! reproducible. Snapshots store a pool's sorted keys, not the arena:
+//! ranks do not depend on the tree's shape.
 
 const NIL: u32 = u32::MAX;
 
@@ -486,97 +490,6 @@ impl<K: Ord + Clone> OsTreap<K> {
         self.root = NIL;
         self.count = 0;
     }
-
-    /// Serialize the full arena — nodes (including free-listed ones),
-    /// free list, root, priority-stream state and live count — so a
-    /// restored treap is structurally identical, byte for byte, to the
-    /// saved one (same shape, same future priority draws). `write_key`
-    /// encodes one key.
-    pub fn save_state(
-        &self,
-        w: &mut crate::snapshot::SnapshotWriter,
-        mut write_key: impl FnMut(&mut crate::snapshot::SnapshotWriter, &K),
-    ) {
-        w.u64(self.rng);
-        w.u32(self.root);
-        w.u32(self.count);
-        w.usize(self.nodes.len());
-        for nd in &self.nodes {
-            write_key(w, &nd.key);
-            w.u32(nd.prio);
-            w.u32(nd.left);
-            w.u32(nd.right);
-            w.u32(nd.left_size);
-        }
-        w.usize(self.free.len());
-        for &f in &self.free {
-            w.u32(f);
-        }
-    }
-
-    /// Restore an arena saved by [`save_state`](Self::save_state),
-    /// replacing the current contents. `read_key` decodes one key.
-    ///
-    /// # Errors
-    /// [`SnapshotError`](crate::snapshot::SnapshotError) on truncation
-    /// or on any index that would violate the arena invariant backing
-    /// the unchecked hot-path accesses (every stored index is either
-    /// `NIL` or `< nodes.len()`).
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader,
-        mut read_key: impl FnMut(
-            &mut crate::snapshot::SnapshotReader,
-        ) -> Result<K, crate::snapshot::SnapshotError>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let rng = r.u64()?;
-        let root = r.u32()?;
-        let count = r.u32()?;
-        let n = r.seq_len(16)?;
-        let in_range = |idx: u32| idx == NIL || (idx as usize) < n;
-        if !in_range(root) {
-            return Err(SnapshotError::corrupt("treap root index out of range"));
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = read_key(r)?;
-            let prio = r.u32()?;
-            let left = r.u32()?;
-            let right = r.u32()?;
-            let left_size = r.u32()?;
-            if !in_range(left) || !in_range(right) {
-                return Err(SnapshotError::corrupt("treap child index out of range"));
-            }
-            nodes.push(Node {
-                key,
-                prio,
-                left,
-                right,
-                left_size,
-            });
-        }
-        let free_len = r.seq_len(4)?;
-        let mut free = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            let f = r.u32()?;
-            if f == NIL || (f as usize) >= n {
-                return Err(SnapshotError::corrupt("treap free index out of range"));
-            }
-            free.push(f);
-        }
-        if count as usize + free.len() != n {
-            return Err(SnapshotError::corrupt(
-                "treap live count + free list does not cover the arena",
-            ));
-        }
-        self.nodes = nodes;
-        self.free = free;
-        self.root = root;
-        self.rng = rng;
-        self.count = count;
-        Ok(())
-    }
 }
 
 impl<K: Ord + Clone> Default for OsTreap<K> {
@@ -687,46 +600,6 @@ mod tests {
         let mut qs = queries.clone();
         empty.rank_many(&mut qs);
         assert!(qs.iter().all(|q| q.rank == 0));
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_structurally_identical() {
-        use crate::snapshot::{SnapshotReader, SnapshotWriter};
-        let mut t = OsTreap::new(77);
-        for i in 0..200u64 {
-            t.insert((i * 31 % 97, i));
-        }
-        for i in 0..60u64 {
-            t.remove(&(i * 31 % 97, i));
-        }
-        let mut w = SnapshotWriter::new();
-        t.save_state(&mut w, |w, k| {
-            w.u64(k.0);
-            w.u64(k.1);
-        });
-        let bytes = w.finish();
-        let mut back: OsTreap<(u64, u64)> = OsTreap::new(0);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        back.load_state(&mut r, |r| Ok((r.u64()?, r.u64()?)))
-            .unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.len(), t.len());
-        for i in 0..back.len() {
-            assert_eq!(back.select(i), t.select(i));
-        }
-        // Future behavior (priority stream, arena reuse) continues
-        // identically: the same inserts give the same serialized bytes.
-        t.insert((1000, 0));
-        back.insert((1000, 0));
-        let ser = |t: &OsTreap<(u64, u64)>| {
-            let mut w = SnapshotWriter::new();
-            t.save_state(&mut w, |w, k| {
-                w.u64(k.0);
-                w.u64(k.1);
-            });
-            w.finish()
-        };
-        assert_eq!(ser(&t), ser(&back));
     }
 
     /// Differential test against a sorted Vec reference model.

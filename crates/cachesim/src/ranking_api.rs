@@ -14,7 +14,7 @@ use crate::fxmap::FxHashMap;
 use crate::ids::{AccessMeta, PartitionId, SlotId};
 use crate::ostree::{OsTreap, RankQuery};
 use crate::scheme_api::{Candidate, Probe};
-use crate::snapshot::{read_u64_map, write_u64_map, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One resident-line hit, as queued by the engine's batched access
 /// pipeline for a deferred bulk [`FutilityRanking::on_hit_batch`] call.
@@ -108,10 +108,12 @@ impl HitRunAgg {
     /// This is the dedup shape for rankings that replicate a cheap
     /// per-record half (timestamp/generation ticks, which may observe
     /// every access) but whose per-line state is a *last-writer-wins*
-    /// overwrite: the expensive part (a bucket move, a map write) runs
-    /// once per distinct line, exactly at the position the scalar
-    /// replay would leave it, so the final per-line state *and* any
-    /// observable touch order match the scalar path bit for bit.
+    /// overwrite: the expensive part (a bucket move, a map write, a
+    /// recency restamp) runs once per distinct line, exactly at the
+    /// position the scalar replay would leave it, so the final per-line
+    /// state *and* any observable touch order match the scalar path bit
+    /// for bit — and per-line updates land in time order, which an
+    /// append-only recency index needs.
     pub fn for_each_record_tagged(
         &mut self,
         hits: &[HitRecord],
@@ -193,9 +195,10 @@ pub trait FutilityRanking: Send {
     /// Semantically identical to calling [`futility`](Self::futility)
     /// per candidate — the default does exactly that — but rankings
     /// override it to amortize work across the `R` candidates: exact
-    /// (treap-backed) rankings batch all lookups into one shared tree
-    /// descent, coarse rankings collapse the per-call `Option` chains
-    /// into a tight loop. Implementations must produce bitwise-identical
+    /// rankings overlap all candidates' lookups (interleaved treap
+    /// descents, or every map probe ahead of the prefix counts), coarse
+    /// rankings collapse the per-call `Option` chains into a tight
+    /// loop. Implementations must produce bitwise-identical
     /// values to the scalar path; `&mut self` only licenses reuse of
     /// internal scratch buffers, never observable state changes.
     fn futility_batch(&mut self, cands: &mut [Candidate]) {
@@ -520,30 +523,54 @@ impl FutilityRanking for NaiveLru {
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
+        // Each pool as its sorted `(time, addr)` pairs: ranks depend only
+        // on the key set, so the treap's shape is not part of the state.
         w.begin("naive-lru");
         w.usize(self.pools.len());
         for pool in &self.pools {
-            pool.by_time.save_state(w, |w, k| {
-                w.u64(k.0);
-                w.u64(k.1);
-            });
-            write_u64_map(w, &pool.last);
+            let mut pairs: Vec<(u64, u64)> = pool.last.iter().map(|(&a, &t)| (t, a)).collect();
+            pairs.sort_unstable();
+            w.usize(pairs.len());
+            for (time, addr) in pairs {
+                w.u64(time);
+                w.u64(addr);
+            }
         }
         w.end();
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         r.begin("naive-lru")?;
-        let n = r.seq_len(1)?;
+        let n = r.usize()?;
+        if n != self.pools.len() {
+            return Err(SnapshotError::mismatch(format!(
+                "snapshot has {n} naive-lru rank pools, engine has {}",
+                self.pools.len()
+            )));
+        }
         let mut pools = Vec::with_capacity(n);
+        let mut seen = FxHashMap::default();
         for _ in 0..n {
             let mut pool = Pool::default();
-            pool.by_time.load_state(r, |r| Ok((r.u64()?, r.u64()?)))?;
-            pool.last = read_u64_map(r)?;
-            if pool.last.len() != pool.by_time.len() {
-                return Err(SnapshotError::corrupt(
-                    "LRU pool index and treap disagree on line count",
-                ));
+            let len = r.seq_len(16)?;
+            let mut prev = None;
+            for _ in 0..len {
+                let key = (r.u64()?, r.u64()?);
+                if prev.is_some_and(|p| p >= key) {
+                    return Err(SnapshotError::corrupt(
+                        "naive-lru rank pool pairs are not strictly increasing",
+                    ));
+                }
+                prev = Some(key);
+                let (time, addr) = key;
+                // A line holds one array slot: one pool, one key.
+                if seen.insert(addr, ()).is_some() {
+                    return Err(SnapshotError::corrupt(format!(
+                        "naive-lru rank pools hold address {addr:#x} twice"
+                    )));
+                }
+                pool.by_time.insert(key);
+                pool.last.insert(addr, time);
             }
             pools.push(pool);
         }

@@ -18,7 +18,10 @@
 use std::fmt;
 
 /// Current snapshot format version. Bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 stores every rank pool canonically, as its sorted
+/// `(key, addr)` pairs, instead of a treap arena.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"FSSN";

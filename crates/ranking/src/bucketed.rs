@@ -2,11 +2,11 @@
 //! (DESIGN.md §14).
 //!
 //! [`BucketCoarseLru`] and [`BucketRrip`] produce the *same futility
-//! values* as their treap-shadowed counterparts [`CoarseLru`] and
+//! values* as their exact-shadowed counterparts [`CoarseLru`] and
 //! [`Rrip`] — same 8-bit timestamp distances, same aged RRPVs, same
 //! byte-lane numerators, bit for bit — but store lines in a
 //! [`BucketPool`](cachesim::bucketrank::BucketPool) keyed by the coarse
-//! value instead of carrying an order-statistic treap. Every miss-path
+//! value instead of carrying an exact shadow rank. Every miss-path
 //! ranking operation (insert, evict, hit touch, retag) becomes an O(1)
 //! counter-and-list move, and the per-eviction `true_futility` rank —
 //! previously an O(log n) shadow-treap descent, the single hottest
@@ -20,7 +20,7 @@
 //! `Rrip`'s shadow ranked by *recency*, not RRPV, an intentionally
 //! different measurement). Victim selection never consults
 //! `true_futility`, so replacement decisions, hit/miss outcomes,
-//! occupancies and snapshot replay are bit-identical to the treap
+//! occupancies and snapshot replay are bit-identical to the shadowed
 //! backends; only the AEF-family statistics (eviction futility sums,
 //! the recorder's `aef` series) read differently, exactly as
 //! `CoarseLru::without_exact_shadow` already does. The pinning test is
@@ -272,8 +272,7 @@ pub struct BucketCoarseLru {
 }
 
 impl BucketCoarseLru {
-    /// An empty ranking; pools are sized on `reset` (no seeds — unlike
-    /// the treap backends, bucket pools need no PRNG).
+    /// An empty ranking; pools are sized on `reset`.
     pub fn new() -> Self {
         BucketCoarseLru::default()
     }
@@ -748,8 +747,8 @@ impl FutilityRanking for BucketRrip {
     fn max_futility_line(&self, part: PartitionId) -> Option<u64> {
         // Highest aged-RRPV class first; within a class, the head is
         // the line least recently placed there (saturated lines keep
-        // splice order). This ranks by RRPV — the treap backend's
-        // shadow ranked by recency — part of the documented deviation.
+        // splice order). This ranks by RRPV — `Rrip`'s exact shadow
+        // ranks by recency — part of the documented deviation.
         let pool = self.pools.get(part.index())?;
         for e in (0..=MAX_RRPV).rev() {
             if let Some(addr) = pool

@@ -12,8 +12,10 @@
 //! An optional *exact shadow* (on by default) maintains precise ranks so
 //! that measured associativity CDFs use true futility, as the paper's
 //! evaluation does; the shadow never influences replacement decisions.
+//! It is the same stamp-ordered recency index as `ExactLru`'s.
 
-use crate::pool::TreapPool;
+use crate::pool::read_shadow_pool;
+use crate::recency::RecencyRank;
 use cachesim::fxmap::FxHashMap;
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, HitRunAgg, PartitionId, SnapshotError,
@@ -23,7 +25,7 @@ use cachesim::{
 /// Number of timestamp buckets per partition "generation" (`K = size/16`).
 const BUCKETS_PER_SIZE: u64 = 16;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CoarsePool {
     /// 8-bit current timestamp.
     current_ts: u8,
@@ -31,20 +33,9 @@ struct CoarsePool {
     accesses: u64,
     /// Per-line timestamp tags.
     tags: FxHashMap<u64, u8>,
-    /// Exact shadow ranks (keyed by last-access time), if enabled.
-    shadow: Option<TreapPool<false>>,
 }
 
 impl CoarsePool {
-    fn new(seed: u64, exact_shadow: bool) -> Self {
-        CoarsePool {
-            current_ts: 0,
-            accesses: 0,
-            tags: FxHashMap::default(),
-            shadow: exact_shadow.then(|| TreapPool::new(seed)),
-        }
-    }
-
     fn tick(&mut self) {
         self.accesses += 1;
         // K = 1/16 of this partition's (current) size, at least 1.
@@ -54,23 +45,17 @@ impl CoarsePool {
             self.current_ts = self.current_ts.wrapping_add(1);
         }
     }
-
-    fn touch(&mut self, addr: u64, time: u64) {
-        self.tags.insert(addr, self.current_ts);
-        if let Some(s) = &mut self.shadow {
-            s.upsert(addr, time);
-        }
-        self.tick();
-    }
 }
 
 /// Coarse-grain timestamp-based LRU ranking.
 #[derive(Debug)]
 pub struct CoarseLru {
     pools: Vec<CoarsePool>,
-    exact_shadow: bool,
     /// Only pools below this index carry the exact shadow.
     shadow_limit: usize,
+    /// Exact shadow ranks (keyed by last-access time) of pools
+    /// `0..shadow.pools()`.
+    shadow: RecencyRank,
     agg: HitRunAgg,
 }
 
@@ -78,12 +63,7 @@ impl CoarseLru {
     /// With exact shadow ranks for measurement (the configuration used
     /// by all experiments).
     pub fn new() -> Self {
-        CoarseLru {
-            pools: Vec::new(),
-            exact_shadow: true,
-            shadow_limit: usize::MAX,
-            agg: HitRunAgg::new(),
-        }
+        CoarseLru::with_shadow_pools(usize::MAX)
     }
 
     /// Exact shadow ranks only for pools `0..k` (cheaper when only some
@@ -92,8 +72,8 @@ impl CoarseLru {
     pub fn with_shadow_pools(k: usize) -> Self {
         CoarseLru {
             pools: Vec::new(),
-            exact_shadow: true,
             shadow_limit: k,
+            shadow: RecencyRank::default(),
             agg: HitRunAgg::new(),
         }
     }
@@ -101,24 +81,26 @@ impl CoarseLru {
     /// Without the exact shadow: pure hardware behaviour, cheapest
     /// simulation. `true_futility` falls back to the coarse estimate.
     pub fn without_exact_shadow() -> Self {
-        CoarseLru {
-            pools: Vec::new(),
-            exact_shadow: false,
-            shadow_limit: 0,
-            agg: HitRunAgg::new(),
-        }
+        CoarseLru::with_shadow_pools(0)
     }
 
     fn pool_mut(&mut self, part: PartitionId) -> &mut CoarsePool {
         let idx = part.index();
         if idx >= self.pools.len() {
-            let n = self.pools.len();
-            let shadow = self.exact_shadow;
-            let limit = self.shadow_limit;
-            self.pools
-                .extend((n..=idx).map(|i| CoarsePool::new(0x2017 + i as u64, shadow && i < limit)));
+            self.pools.resize_with(idx + 1, CoarsePool::default);
+            self.shadow.ensure((idx + 1).min(self.shadow_limit));
         }
         &mut self.pools[idx]
+    }
+
+    /// Tag (and shadow-stamp) a line at insert or hit time.
+    fn touch(&mut self, part: PartitionId, addr: u64, time: u64) {
+        let pool = self.pool_mut(part);
+        pool.tags.insert(addr, pool.current_ts);
+        pool.tick();
+        if part.index() < self.shadow.pools() {
+            self.shadow.touch(part.index(), addr, time);
+        }
     }
 
     /// The raw 8-bit timestamp distance of a line (what the hardware
@@ -142,70 +124,67 @@ impl FutilityRanking for CoarseLru {
     }
 
     fn reset(&mut self, pools: usize) {
-        let shadow = self.exact_shadow;
-        let limit = self.shadow_limit;
-        self.pools = (0..pools)
-            .map(|i| CoarsePool::new(0x2017 + i as u64, shadow && i < limit))
-            .collect();
+        self.pools = (0..pools).map(|_| CoarsePool::default()).collect();
+        self.shadow.reset(pools.min(self.shadow_limit));
     }
 
     fn on_insert(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
-        self.pool_mut(part).touch(addr, time);
+        self.touch(part, addr, time);
     }
 
     fn on_hit(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
-        self.pool_mut(part).touch(addr, time);
+        self.touch(part, addr, time);
     }
 
     fn on_hit_batch(&mut self, hits: &[HitRecord]) {
         if let Some(max) = hits.iter().map(|h| h.part.index()).max() {
             self.pool_mut(PartitionId(max as u16));
         }
-        let CoarseLru { pools, agg, .. } = self;
+        let CoarseLru {
+            pools, shadow, agg, ..
+        } = self;
+        let shadowed = shadow.pools();
         // The 8-bit timestamp tag + tick half is replicated per record,
         // exactly as the scalar path: `current_ts` can bump mid-run and
-        // the tag must capture it at hit time.
-        for h in hits {
-            let pool = &mut pools[h.part.index()];
+        // the tag must capture it at hit time. The exact shadow depends
+        // only on each line's final last-access time, so it is stamped
+        // once per line, at its last record, in time order.
+        agg.for_each_record_tagged(hits, |h, last| {
+            let idx = h.part.index();
+            let pool = &mut pools[idx];
             pool.tags.insert(h.addr, pool.current_ts);
             pool.tick();
-        }
-        // The exact measurement shadow is a canonical treap keyed by
-        // last-access time: one upsert per distinct line suffices, and
-        // shadow state is independent of the tag/timestamp half.
-        agg.for_each_line(hits, |h, _| {
-            if let Some(s) = &mut pools[h.part.index()].shadow {
-                s.upsert(h.addr, h.time);
+            if last && idx < shadowed {
+                shadow.touch(idx, h.addr, h.time);
             }
         });
     }
 
     fn on_evict(&mut self, part: PartitionId, addr: u64) {
-        let pool = self.pool_mut(part);
-        pool.tags.remove(&addr);
-        if let Some(s) = &mut pool.shadow {
-            s.remove(addr);
-        }
+        self.pool_mut(part).tags.remove(&addr);
+        self.shadow.remove(part.index(), addr);
     }
 
     fn on_retag(&mut self, from: PartitionId, to: PartitionId, addr: u64) {
         // Preserve the line's age: re-tag it in the destination pool at
         // the same timestamp distance it had in the source pool.
-        let (dist, key) = {
+        let dist = {
             let pool = self.pool_mut(from);
             let tag = match pool.tags.remove(&addr) {
                 Some(t) => t,
                 None => return,
             };
-            let dist = pool.current_ts.wrapping_sub(tag);
-            let key = pool.shadow.as_mut().and_then(|s| s.remove(addr));
-            (dist, key)
+            pool.current_ts.wrapping_sub(tag)
         };
         let pool = self.pool_mut(to);
         let new_tag = pool.current_ts.wrapping_sub(dist);
         pool.tags.insert(addr, new_tag);
-        if let (Some(s), Some(k)) = (&mut pool.shadow, key) {
-            s.upsert(addr, k);
+        // The shadow keeps the line's last-access time; a line leaving
+        // the shadowed pools leaves the shadow.
+        if to.index() < self.shadow.pools() {
+            self.shadow.retag(from.index(), to.index(), addr);
+        } else {
+            self.shadow.remove(from.index(), addr);
         }
     }
 
@@ -251,23 +230,17 @@ impl FutilityRanking for CoarseLru {
     }
 
     fn true_futility(&self, part: PartitionId, addr: u64) -> f64 {
-        let pool = match self.pools.get(part.index()) {
-            Some(p) => p,
-            None => return 0.0,
-        };
-        match &pool.shadow {
-            Some(s) => s.futility(addr),
-            None => self.futility(part, addr),
+        if part.index() < self.shadow.pools() {
+            self.shadow.futility(part.index(), addr)
+        } else {
+            self.futility(part, addr)
         }
     }
 
     fn max_futility_line(&self, part: PartitionId) -> Option<u64> {
         // Only answerable exactly with the shadow; the hardware scheme
         // never needs this query (it is used by the FullAssoc ideal).
-        self.pools
-            .get(part.index())
-            .and_then(|p| p.shadow.as_ref())
-            .and_then(|s| s.most_futile())
+        self.shadow.most_futile(part.index())
     }
 
     fn pool_len(&self, part: PartitionId) -> usize {
@@ -277,7 +250,7 @@ impl FutilityRanking for CoarseLru {
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.begin("coarse-lru");
         w.usize(self.pools.len());
-        for pool in &self.pools {
+        for (i, pool) in self.pools.iter().enumerate() {
             w.u8(pool.current_ts);
             w.u64(pool.accesses);
             // Tags in sorted address order so identical states always
@@ -289,9 +262,10 @@ impl FutilityRanking for CoarseLru {
                 w.u64(addr);
                 w.u8(tag);
             }
-            w.bool(pool.shadow.is_some());
-            if let Some(s) = &pool.shadow {
-                s.save_state(w);
+            let shadowed = i < self.shadow.pools();
+            w.bool(shadowed);
+            if shadowed {
+                self.shadow.save_pool(i, w);
             }
         }
         w.end();
@@ -306,7 +280,8 @@ impl FutilityRanking for CoarseLru {
                 self.pools.len()
             )));
         }
-        for pool in &mut self.pools {
+        let mut shadow_pools = Vec::with_capacity(self.shadow.pools());
+        for (i, pool) in self.pools.iter_mut().enumerate() {
             pool.current_ts = r.u8()?;
             pool.accesses = r.u64()?;
             let len = r.seq_len(9)?;
@@ -324,26 +299,16 @@ impl FutilityRanking for CoarseLru {
                 let tag = r.u8()?;
                 pool.tags.insert(addr, tag);
             }
-            let has_shadow = r.bool()?;
-            match (&mut pool.shadow, has_shadow) {
-                (Some(s), true) => {
-                    s.load_state(r)?;
-                    if s.len() != pool.tags.len() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "coarse-lru shadow tracks {} lines but pool has {} tags",
-                            s.len(),
-                            pool.tags.len()
-                        )));
-                    }
-                }
-                (None, false) => {}
-                _ => {
-                    return Err(SnapshotError::mismatch(
-                        "snapshot and engine disagree on the coarse-lru exact shadow",
-                    ));
-                }
+            if r.bool()? != (i < self.shadow.pools()) {
+                return Err(SnapshotError::mismatch(
+                    "snapshot and engine disagree on the coarse-lru exact shadow",
+                ));
+            }
+            if i < self.shadow.pools() {
+                shadow_pools.push(read_shadow_pool(r, "coarse-lru shadow", i, &pool.tags)?);
             }
         }
+        self.shadow.restore(&shadow_pools, "coarse-lru shadow")?;
         r.end()
     }
 }

@@ -1,18 +1,17 @@
 //! Exact least-recently-used futility ranking.
 
-use crate::pool::{batch_over_pools, load_pools, save_pools, TreapPool};
-use cachesim::ostree::RankQuery;
+use crate::recency::RecencyRank;
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, HitRunAgg, PartitionId, SnapshotError,
     SnapshotReader, SnapshotWriter,
 };
 
 /// Exact LRU: lines are ranked by last-access time; the least recently
-/// used line of a partition has futility 1.
+/// used line of a partition has futility 1. Ranks are prefix counts
+/// over last-access stamps (see `recency`).
 #[derive(Debug, Default)]
 pub struct ExactLru {
-    pools: Vec<TreapPool<false>>,
-    scratch: Vec<RankQuery<(u64, u64)>>,
+    rank: RecencyRank,
     agg: HitRunAgg,
 }
 
@@ -20,16 +19,6 @@ impl ExactLru {
     /// Create an empty ranking (pools sized on `reset`).
     pub fn new() -> Self {
         ExactLru::default()
-    }
-
-    fn pool_mut(&mut self, part: PartitionId) -> &mut TreapPool<false> {
-        let idx = part.index();
-        if idx >= self.pools.len() {
-            let n = self.pools.len();
-            self.pools
-                .extend((n..=idx).map(|i| TreapPool::new(0x1009 + i as u64)));
-        }
-        &mut self.pools[idx]
     }
 }
 
@@ -39,48 +28,50 @@ impl FutilityRanking for ExactLru {
     }
 
     fn reset(&mut self, pools: usize) {
-        self.pools = (0..pools)
-            .map(|i| TreapPool::new(0x1009 + i as u64))
-            .collect();
+        self.rank.reset(pools);
     }
 
     fn on_insert(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
-        self.pool_mut(part).upsert(addr, time);
+        self.rank.ensure(part.index() + 1);
+        self.rank.touch(part.index(), addr, time);
     }
 
     fn on_hit(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
-        self.pool_mut(part).upsert(addr, time);
+        self.rank.ensure(part.index() + 1);
+        self.rank.touch(part.index(), addr, time);
     }
 
     fn on_hit_batch(&mut self, hits: &[HitRecord]) {
-        // The treap's observable state is a function of its key set, so
-        // only each line's final last-access time matters: a line hit k
-        // times in the run pays one remove + insert instead of k.
+        // Ranks depend only on each line's final last-access time, so a
+        // line hit k times in the run is restamped once, at its last
+        // record. Those records come in run (time) order, which keeps
+        // every restamp on the in-order fast path.
         if let Some(max) = hits.iter().map(|h| h.part.index()).max() {
-            self.pool_mut(PartitionId(max as u16));
+            self.rank.ensure(max + 1);
         }
-        let ExactLru { pools, agg, .. } = self;
-        agg.for_each_line(hits, |h, _| pools[h.part.index()].upsert(h.addr, h.time));
+        let ExactLru { rank, agg } = self;
+        agg.for_each_record_tagged(hits, |h, last| {
+            if last {
+                rank.touch(h.part.index(), h.addr, h.time);
+            }
+        });
     }
 
     fn on_evict(&mut self, part: PartitionId, addr: u64) {
-        self.pool_mut(part).remove(addr);
+        self.rank.remove(part.index(), addr);
     }
 
     fn on_retag(&mut self, from: PartitionId, to: PartitionId, addr: u64) {
-        if let Some(key) = self.pool_mut(from).remove(addr) {
-            self.pool_mut(to).upsert(addr, key);
-        }
+        self.rank.ensure(from.index().max(to.index()) + 1);
+        self.rank.retag(from.index(), to.index(), addr);
     }
 
     fn futility(&self, part: PartitionId, addr: u64) -> f64 {
-        self.pools
-            .get(part.index())
-            .map_or(0.0, |p| p.futility(addr))
+        self.rank.futility(part.index(), addr)
     }
 
     fn futility_batch(&mut self, cands: &mut [Candidate]) {
-        batch_over_pools(&self.pools, &mut self.scratch, cands);
+        self.rank.futility_batch(cands);
     }
 
     fn futility_is_exact(&self) -> bool {
@@ -88,19 +79,23 @@ impl FutilityRanking for ExactLru {
     }
 
     fn max_futility_line(&self, part: PartitionId) -> Option<u64> {
-        self.pools.get(part.index()).and_then(|p| p.most_futile())
+        self.rank.most_futile(part.index())
     }
 
     fn pool_len(&self, part: PartitionId) -> usize {
-        self.pools.get(part.index()).map_or(0, |p| p.len())
+        self.rank.len(part.index())
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
-        save_pools("exact-lru", &self.pools, w);
+        w.begin("exact-lru");
+        self.rank.save_state(w);
+        w.end();
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        load_pools("exact-lru", &mut self.pools, r)
+        r.begin("exact-lru")?;
+        self.rank.load_state(r, "exact-lru")?;
+        r.end()
     }
 }
 

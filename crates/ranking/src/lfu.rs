@@ -2,7 +2,7 @@
 //! frequency ("their access frequencies", §III-A), with LRU as the
 //! tiebreaker among equally-hot lines.
 
-use crate::pool::{batch_over_pools, TreapPool};
+use crate::pool::{batch_over_pools, check_disjoint, TreapPool};
 use cachesim::fxmap::FxHashMap;
 use cachesim::ostree::RankQuery;
 use cachesim::snapshot::{read_u64_map, write_u64_map};
@@ -159,16 +159,16 @@ impl FutilityRanking for Lfu {
         }
         self.counts.resize_with(n, FxHashMap::default);
         for (pool, counts) in self.pools.iter_mut().zip(&mut self.counts) {
-            pool.load_state(r)?;
+            pool.load_state(r, "lfu")?;
             *counts = read_u64_map(r)?;
-            if counts.len() != pool.len() {
+            if counts.len() != pool.len() || counts.keys().any(|&a| pool.key_of(a).is_none()) {
                 return Err(SnapshotError::corrupt(format!(
-                    "lfu pool tracks {} lines but has {} counts",
-                    pool.len(),
-                    counts.len()
+                    "lfu counts do not cover exactly the pool's {} lines",
+                    pool.len()
                 )));
             }
         }
+        check_disjoint(self.pools.iter().flat_map(|p| p.addrs()), "lfu")?;
         r.end()
     }
 }

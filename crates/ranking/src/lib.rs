@@ -7,19 +7,25 @@
 //! within each partition is strictly ordered by a specific futility
 //! ranking scheme" (paper, Section III-A). Provided rankings:
 //!
-//! * [`ExactLru`] — exact least-recently-used ranks (order-statistic
-//!   queries over last-access times).
+//! * [`ExactLru`] — exact least-recently-used ranks: prefix counts over
+//!   per-line last-access stamps (a bitmap and a Fenwick tree per pool,
+//!   see `recency`).
 //! * [`CoarseLru`] — the paper's practical hardware ranking (§V-A):
 //!   8-bit per-partition timestamps bumped every `size/16` accesses;
 //!   futility is the modular timestamp distance. Optionally carries an
-//!   exact shadow rank so measured associativity stays precise.
-//! * [`Lfu`] — least-frequently-used (access counts, LRU tiebreak).
+//!   exact shadow rank (the same recency index as `ExactLru`) so
+//!   measured associativity stays precise.
+//! * [`Lfu`] — least-frequently-used (access counts, LRU tiebreak),
+//!   ranked by an order-statistic treap, like OPT and Random.
 //! * [`Opt`] — Belady's OPT: ranks by time-to-next-reference, consuming
 //!   the `next_use` annotations produced by
 //!   [`Trace::annotate_next_use`](cachesim::trace::Trace::annotate_next_use).
 //! * [`RandomRanking`] — futility is a stable per-line hash; the
 //!   futility-blind floor every real ranking must beat.
-//! * [`BucketCoarseLru`] / [`BucketRrip`] — treap-free bucket backends
+//! * [`Rrip`] — RRIP-style 2-bit re-reference prediction (an extension
+//!   beyond the paper), with the same exact recency shadow as
+//!   [`CoarseLru`] for measurement.
+//! * [`BucketCoarseLru`] / [`BucketRrip`] — shadow-free bucket backends
 //!   for the two coarse rankings: identical futility values, O(1)
 //!   ranking ops, counting-prefix `true_futility` (see `bucketed`).
 //!
@@ -44,6 +50,7 @@ mod lfu;
 mod opt;
 mod pool;
 mod random;
+mod recency;
 mod rrip;
 
 pub use bucketed::{BucketCoarseLru, BucketRrip};

@@ -1,8 +1,10 @@
-//! Shared per-partition order-statistic pool used by the exact rankings.
+//! Shared per-partition order-statistic pool behind the LFU, OPT and
+//! Random rankings (whose keys arrive in no particular order), the
+//! tests' reference for the exact-LRU recency index, and the canonical
+//! rank-pool snapshot codec both use.
 
 use cachesim::fxmap::FxHashMap;
 use cachesim::ostree::{OsTreap, RankQuery};
-use cachesim::snapshot::{read_u64_map, write_u64_map};
 use cachesim::{Candidate, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One partition's worth of ranking state: an order-statistic treap over
@@ -70,27 +72,40 @@ impl<const HIGH_IS_FUTILE: bool> TreapPool<HIGH_IS_FUTILE> {
         }
     }
 
-    /// Serialize the pool (treap plus key map) into an open section.
+    /// Serialize the pool as its sorted `(key, addr)` pairs: ranks
+    /// depend only on the key set, so the treap's shape, priorities and
+    /// free list are not part of the state.
     pub(crate) fn save_state(&self, w: &mut SnapshotWriter) {
-        self.treap.save_state(w, |w, k| {
-            w.u64(k.0);
-            w.u64(k.1);
-        });
-        write_u64_map(w, &self.keys);
+        let mut pairs: Vec<(u64, u64)> = self.keys.iter().map(|(&a, &k)| (k, a)).collect();
+        pairs.sort_unstable();
+        write_pairs(w, pairs.len(), pairs.into_iter());
     }
 
-    /// Restore a pool serialized by [`save_state`](Self::save_state).
-    pub(crate) fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        self.treap.load_state(r, |r| Ok((r.u64()?, r.u64()?)))?;
-        self.keys = read_u64_map(r)?;
-        if self.keys.len() != self.treap.len() {
-            return Err(SnapshotError::corrupt(format!(
-                "treap pool has {} tracked keys but {} treap entries",
-                self.keys.len(),
-                self.treap.len()
-            )));
+    /// Restore a pool serialized by [`save_state`](Self::save_state),
+    /// rebuilding the treap by insertion.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut SnapshotReader,
+        what: &str,
+    ) -> Result<(), SnapshotError> {
+        let pairs = read_pairs(r, what)?;
+        self.treap.clear();
+        self.keys = FxHashMap::default();
+        self.keys.reserve(pairs.len());
+        for (key, addr) in pairs {
+            if self.keys.insert(addr, key).is_some() {
+                return Err(SnapshotError::corrupt(format!(
+                    "{what} rank pool holds address {addr:#x} twice"
+                )));
+            }
+            self.treap.insert((key, addr));
         }
         Ok(())
+    }
+
+    /// The tracked addresses.
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.keys.keys().copied()
     }
 
     /// The most futile line, if any.
@@ -102,6 +117,80 @@ impl<const HIGH_IS_FUTILE: bool> TreapPool<HIGH_IS_FUTILE> {
         };
         entry.map(|&(_, addr)| addr)
     }
+}
+
+/// Write one rank pool canonically: its length, then its `(key, addr)`
+/// pairs in increasing order. `pairs` must yield exactly `len` pairs.
+pub(crate) fn write_pairs(
+    w: &mut SnapshotWriter,
+    len: usize,
+    pairs: impl Iterator<Item = (u64, u64)>,
+) {
+    w.usize(len);
+    let mut written = 0;
+    for (key, addr) in pairs {
+        w.u64(key);
+        w.u64(addr);
+        written += 1;
+    }
+    debug_assert_eq!(written, len, "rank pool length disagrees with its pairs");
+}
+
+/// Read one rank pool written by [`write_pairs`].
+///
+/// # Errors
+/// [`SnapshotError::Corrupt`] unless the pairs are strictly increasing
+/// (which also rules out a repeated pair).
+pub(crate) fn read_pairs(
+    r: &mut SnapshotReader,
+    what: &str,
+) -> Result<Vec<(u64, u64)>, SnapshotError> {
+    let len = r.seq_len(16)?;
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let pair = (r.u64()?, r.u64()?);
+        if pairs.last().is_some_and(|&prev| prev >= pair) {
+            return Err(SnapshotError::corrupt(format!(
+                "{what} rank pool pairs are not strictly increasing"
+            )));
+        }
+        pairs.push(pair);
+    }
+    Ok(pairs)
+}
+
+/// Reject rank pools that hold one address twice, in one pool or in
+/// two: a line holds one array slot, so it lives in at most one pool.
+pub(crate) fn check_disjoint(
+    addrs: impl Iterator<Item = u64>,
+    what: &str,
+) -> Result<(), SnapshotError> {
+    let mut addrs: Vec<u64> = addrs.collect();
+    addrs.sort_unstable();
+    match addrs.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(SnapshotError::corrupt(format!(
+            "{what} rank pools hold address {:#x} twice",
+            w[0]
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Read the exact shadow of a coarse ranking's pool `pool` and check
+/// that it tracks exactly the lines the pool has tags for.
+pub(crate) fn read_shadow_pool<V>(
+    r: &mut SnapshotReader,
+    what: &str,
+    pool: usize,
+    tags: &FxHashMap<u64, V>,
+) -> Result<Vec<(u64, u64)>, SnapshotError> {
+    let pairs = read_pairs(r, what)?;
+    if pairs.len() != tags.len() || pairs.iter().any(|(_, addr)| !tags.contains_key(addr)) {
+        return Err(SnapshotError::corrupt(format!(
+            "{what} of pool {pool} does not track exactly the pool's lines"
+        )));
+    }
+    Ok(pairs)
 }
 
 /// Shared `save_state` for rankings whose whole state is one
@@ -131,13 +220,14 @@ pub(crate) fn load_pools<const HIGH_IS_FUTILE: bool>(
     let n = r.usize()?;
     if n != pools.len() {
         return Err(SnapshotError::mismatch(format!(
-            "snapshot has {n} ranking pools, engine has {}",
+            "snapshot has {n} {name} rank pools, engine has {}",
             pools.len()
         )));
     }
     for p in pools.iter_mut() {
-        p.load_state(r)?;
+        p.load_state(r, name)?;
     }
+    check_disjoint(pools.iter().flat_map(|p| p.addrs()), name)?;
     r.end()
 }
 

@@ -6,7 +6,7 @@
 //! (AEF = 0.5), exactly the worst case the paper derives for PF with
 //! `N ≥ R` (Section III-C).
 
-use crate::pool::{batch_over_pools, TreapPool};
+use crate::pool::{batch_over_pools, check_disjoint, TreapPool};
 use cachesim::hashing::{IndexHash, LineHash};
 use cachesim::ostree::RankQuery;
 use cachesim::{
@@ -135,8 +135,9 @@ impl FutilityRanking for RandomRanking {
             )));
         }
         for p in &mut self.pools {
-            p.load_state(r)?;
+            p.load_state(r, "random-ranking")?;
         }
+        check_disjoint(self.pools.iter().flat_map(|p| p.addrs()), "random-ranking")?;
         r.end()
     }
 }

@@ -8,8 +8,12 @@
 //! The futility a scheme sees is the coarse `RRPV / max` estimate —
 //! like the paper's coarse timestamp LRU, RRIP is a cheap hardware
 //! approximation, and Futility Scaling composes with it unchanged.
+//! Measured associativity (`true_futility`, `max_futility_line`) reads
+//! an exact recency shadow, the same stamp-ordered index as
+//! `ExactLru`'s; it never influences replacement.
 
-use crate::pool::TreapPool;
+use crate::pool::read_shadow_pool;
+use crate::recency::RecencyRank;
 use cachesim::fxmap::FxHashMap;
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, HitRunAgg, PartitionId, SnapshotError,
@@ -19,7 +23,7 @@ use cachesim::{
 /// Maximum RRPV for the default 2-bit configuration.
 const MAX_RRPV: u32 = 3;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RripPool {
     /// Per-line `(rrpv at tag time, generation at tag time)`.
     tags: FxHashMap<u64, (u32, u64)>,
@@ -27,20 +31,9 @@ struct RripPool {
     generation: u64,
     /// Accesses since the last generation bump.
     accesses: u64,
-    /// Exact shadow (keyed by last access time) for measurement.
-    shadow: TreapPool<false>,
 }
 
 impl RripPool {
-    fn new(seed: u64) -> Self {
-        RripPool {
-            tags: FxHashMap::default(),
-            generation: 0,
-            accesses: 0,
-            shadow: TreapPool::new(seed),
-        }
-    }
-
     fn tick(&mut self) {
         self.accesses += 1;
         if self.accesses >= self.tags.len().max(1) as u64 {
@@ -60,6 +53,9 @@ impl RripPool {
 #[derive(Debug, Default)]
 pub struct Rrip {
     pools: Vec<RripPool>,
+    /// Exact shadow ranks (keyed by last-access time) for measurement,
+    /// one pool per RRIP pool.
+    shadow: RecencyRank,
     agg: HitRunAgg,
 }
 
@@ -72,9 +68,8 @@ impl Rrip {
     fn pool_mut(&mut self, part: PartitionId) -> &mut RripPool {
         let idx = part.index();
         if idx >= self.pools.len() {
-            let n = self.pools.len();
-            self.pools
-                .extend((n..=idx).map(|i| RripPool::new(0x4219 + i as u64)));
+            self.pools.resize_with(idx + 1, RripPool::default);
+            self.shadow.ensure(idx + 1);
         }
         &mut self.pools[idx]
     }
@@ -91,9 +86,8 @@ impl FutilityRanking for Rrip {
     }
 
     fn reset(&mut self, pools: usize) {
-        self.pools = (0..pools)
-            .map(|i| RripPool::new(0x4219 + i as u64))
-            .collect();
+        self.pools = (0..pools).map(|_| RripPool::default()).collect();
+        self.shadow.reset(pools);
     }
 
     fn on_insert(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
@@ -101,8 +95,8 @@ impl FutilityRanking for Rrip {
         let gen = pool.generation;
         // Long re-reference prediction on insertion (SRRIP).
         pool.tags.insert(addr, (MAX_RRPV - 1, gen));
-        pool.shadow.upsert(addr, time);
         pool.tick();
+        self.shadow.touch(part.index(), addr, time);
     }
 
     fn on_hit(&mut self, part: PartitionId, addr: u64, time: u64, _meta: AccessMeta) {
@@ -110,56 +104,50 @@ impl FutilityRanking for Rrip {
         let gen = pool.generation;
         // Immediate re-reference prediction on a hit.
         pool.tags.insert(addr, (0, gen));
-        pool.shadow.upsert(addr, time);
         pool.tick();
+        self.shadow.touch(part.index(), addr, time);
     }
 
     fn on_hit_batch(&mut self, hits: &[HitRecord]) {
         if let Some(max) = hits.iter().map(|h| h.part.index()).max() {
             self.pool_mut(PartitionId(max as u16));
         }
-        let Rrip { pools, agg } = self;
+        let Rrip { pools, shadow, agg } = self;
         // The cheap tag + tick half is replicated per record, exactly
         // as the scalar path: `generation` can advance mid-run and the
-        // tag must capture it at hit time.
-        for h in hits {
+        // tag must capture it at hit time. The measurement shadow
+        // depends only on each line's final hit time, so it is stamped
+        // once per line, at its last record, in time order.
+        agg.for_each_record_tagged(hits, |h, last| {
             let pool = &mut pools[h.part.index()];
             let gen = pool.generation;
             pool.tags.insert(h.addr, (0, gen));
             pool.tick();
-        }
-        // The measurement shadow is a canonical treap keyed by
-        // last-access time: only each line's final hit time matters,
-        // and shadow state is independent of tags/generation, so the
-        // deduplicated upserts commute with the loop above.
-        agg.for_each_line(hits, |h, _| {
-            pools[h.part.index()].shadow.upsert(h.addr, h.time)
+            if last {
+                shadow.touch(h.part.index(), h.addr, h.time);
+            }
         });
     }
 
     fn on_evict(&mut self, part: PartitionId, addr: u64) {
-        let pool = self.pool_mut(part);
-        pool.tags.remove(&addr);
-        pool.shadow.remove(addr);
+        self.pool_mut(part).tags.remove(&addr);
+        self.shadow.remove(part.index(), addr);
     }
 
     fn on_retag(&mut self, from: PartitionId, to: PartitionId, addr: u64) {
-        let (rrpv, key) = {
+        let rrpv = {
             let pool = self.pool_mut(from);
             let rrpv = match pool.effective_rrpv(addr) {
                 Some(r) => r,
                 None => return,
             };
             pool.tags.remove(&addr);
-            let key = pool.shadow.remove(addr);
-            (rrpv, key)
+            rrpv
         };
         let pool = self.pool_mut(to);
         let gen = pool.generation;
         pool.tags.insert(addr, (rrpv, gen));
-        if let Some(k) = key {
-            pool.shadow.upsert(addr, k);
-        }
+        self.shadow.retag(from.index(), to.index(), addr);
     }
 
     fn futility(&self, part: PartitionId, addr: u64) -> f64 {
@@ -211,15 +199,11 @@ impl FutilityRanking for Rrip {
     }
 
     fn true_futility(&self, part: PartitionId, addr: u64) -> f64 {
-        self.pools
-            .get(part.index())
-            .map_or(0.0, |p| p.shadow.futility(addr))
+        self.shadow.futility(part.index(), addr)
     }
 
     fn max_futility_line(&self, part: PartitionId) -> Option<u64> {
-        self.pools
-            .get(part.index())
-            .and_then(|p| p.shadow.most_futile())
+        self.shadow.most_futile(part.index())
     }
 
     fn pool_len(&self, part: PartitionId) -> usize {
@@ -229,7 +213,7 @@ impl FutilityRanking for Rrip {
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.begin("rrip");
         w.usize(self.pools.len());
-        for pool in &self.pools {
+        for (i, pool) in self.pools.iter().enumerate() {
             w.u64(pool.generation);
             w.u64(pool.accesses);
             let mut tags: Vec<(u64, u32, u64)> = pool
@@ -244,7 +228,7 @@ impl FutilityRanking for Rrip {
                 w.u32(rrpv);
                 w.u64(gen);
             }
-            pool.shadow.save_state(w);
+            self.shadow.save_pool(i, w);
         }
         w.end();
     }
@@ -258,7 +242,8 @@ impl FutilityRanking for Rrip {
                 self.pools.len()
             )));
         }
-        for pool in &mut self.pools {
+        let mut shadow_pools = Vec::with_capacity(n);
+        for (i, pool) in self.pools.iter_mut().enumerate() {
             pool.generation = r.u64()?;
             pool.accesses = r.u64()?;
             let len = r.seq_len(20)?;
@@ -280,15 +265,9 @@ impl FutilityRanking for Rrip {
                 }
                 pool.tags.insert(addr, (rrpv, gen));
             }
-            pool.shadow.load_state(r)?;
-            if pool.shadow.len() != pool.tags.len() {
-                return Err(SnapshotError::corrupt(format!(
-                    "rrip shadow tracks {} lines but pool has {} tags",
-                    pool.shadow.len(),
-                    pool.tags.len()
-                )));
-            }
+            shadow_pools.push(read_shadow_pool(r, "rrip shadow", i, &pool.tags)?);
         }
+        self.shadow.restore(&shadow_pools, "rrip shadow")?;
         r.end()
     }
 }

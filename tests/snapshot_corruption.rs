@@ -147,3 +147,176 @@ fn damaged_checkpoint_files_are_rejected() {
     assert_eq!(done, 2_000);
     assert_eq!(cache.snapshot(), cache2.snapshot());
 }
+
+/// Rank pools: `(key, addr)` pairs, one list per pool.
+type Pools = Vec<Vec<(u64, u64)>>;
+
+/// Rank pools encoded in the section layout of each ranking that stores
+/// them, with every other field at a valid value. The pairs are written
+/// as given, sorted or not.
+fn crafted_section(name: &str, pools: &[Vec<(u64, u64)>]) -> Vec<u8> {
+    use cachesim::SnapshotWriter;
+    fn pairs(w: &mut SnapshotWriter, pool: &[(u64, u64)]) {
+        w.usize(pool.len());
+        for &(key, addr) in pool {
+            w.u64(key);
+            w.u64(addr);
+        }
+    }
+    fn sorted_addrs(pool: &[(u64, u64)]) -> Vec<u64> {
+        let mut addrs: Vec<u64> = pool.iter().map(|&(_, a)| a).collect();
+        addrs.sort_unstable();
+        addrs
+    }
+    let mut w = SnapshotWriter::new();
+    let section = match name {
+        "lru" => "exact-lru",
+        "random" => "random-ranking",
+        other => other,
+    };
+    w.begin(section);
+    if name == "random" {
+        w.u64(0xFACE);
+    }
+    w.usize(pools.len());
+    for pool in pools {
+        match name {
+            "lru" | "opt" | "random" | "naive-lru" => pairs(&mut w, pool),
+            "lfu" => {
+                pairs(&mut w, pool);
+                let addrs = sorted_addrs(pool);
+                w.usize(addrs.len());
+                for a in addrs {
+                    w.u64(a);
+                    w.u64(1);
+                }
+            }
+            "coarse-lru" => {
+                w.u8(0);
+                w.u64(0);
+                let addrs = sorted_addrs(pool);
+                w.usize(addrs.len());
+                for a in addrs {
+                    w.u64(a);
+                    w.u8(0);
+                }
+                w.bool(true);
+                pairs(&mut w, pool);
+            }
+            "rrip" => {
+                w.u64(0);
+                w.u64(0);
+                let addrs = sorted_addrs(pool);
+                w.usize(addrs.len());
+                for a in addrs {
+                    w.u64(a);
+                    w.u32(0);
+                    w.u64(0);
+                }
+                pairs(&mut w, pool);
+            }
+            other => panic!("no crafted layout for {other}"),
+        }
+    }
+    w.end();
+    w.finish()
+}
+
+/// Every ranking that stores rank pools, fresh with two pools.
+fn rank_pool_rankings() -> Vec<Box<dyn FutilityRanking>> {
+    let mut all: Vec<Box<dyn FutilityRanking>> =
+        ["lru", "coarse-lru", "lfu", "opt", "random", "rrip"]
+            .into_iter()
+            .map(|n| ranking::by_name(n).unwrap())
+            .collect();
+    all.push(cachesim::naive_lru());
+    for r in &mut all {
+        r.reset(2);
+    }
+    all
+}
+
+/// Crafted rank pools in a correctly checksummed snapshot fail with a
+/// typed error, never a panic or a hang: pairs out of order, a repeated
+/// pair, one address in two pools (a line holds one array slot), or a
+/// pool count the engine does not have. Valid pools load, answer
+/// queries, and save back to the same bytes.
+#[test]
+fn crafted_rank_pools_are_rejected_with_typed_errors() {
+    use cachesim::{SnapshotError, SnapshotReader, SnapshotWriter};
+    let bad: [(&str, Pools, bool); 4] = [
+        (
+            "unsorted pairs",
+            vec![vec![(5, 0xB), (3, 0xA)], vec![]],
+            false,
+        ),
+        (
+            "repeated pair",
+            vec![vec![(3, 0xA), (3, 0xA)], vec![]],
+            false,
+        ),
+        (
+            "address in two pools",
+            vec![vec![(3, 0xA)], vec![(4, 0xA)]],
+            false,
+        ),
+        (
+            "three pools for two",
+            vec![vec![(3, 0xA)], vec![], vec![]],
+            true,
+        ),
+    ];
+    for mut r in rank_pool_rankings() {
+        let name = r.name();
+        for (what, pools, mismatch) in &bad {
+            let bytes = crafted_section(name, pools);
+            let mut reader = SnapshotReader::open(&bytes).unwrap();
+            match r.load_state(&mut reader) {
+                Err(SnapshotError::Mismatch { .. }) if *mismatch => {}
+                Err(SnapshotError::Corrupt { .. }) if !*mismatch => {}
+                other => panic!("{name}, {what}: expected a typed rejection, got {other:?}"),
+            }
+        }
+        let good = vec![vec![(3, 0xA), (5, 0xB)], vec![(4, 0xC)]];
+        let bytes = crafted_section(name, &good);
+        let mut fresh = rank_pool_rankings()
+            .into_iter()
+            .find(|x| x.name() == name)
+            .unwrap();
+        let mut reader = SnapshotReader::open(&bytes).unwrap();
+        fresh
+            .load_state(&mut reader)
+            .unwrap_or_else(|e| panic!("{name}: valid pools rejected: {e}"));
+        reader.finish().unwrap();
+        assert_eq!(fresh.pool_len(PartitionId(0)), 2, "{name}");
+        assert_eq!(fresh.pool_len(PartitionId(1)), 1, "{name}");
+        assert_eq!(fresh.max_futility_line(PartitionId(1)), Some(0xC), "{name}");
+        assert_eq!(fresh.true_futility(PartitionId(1), 0xC), 1.0, "{name}");
+        let mut w = SnapshotWriter::new();
+        fresh.save_state(&mut w);
+        assert_eq!(
+            w.finish(),
+            bytes,
+            "{name}: canonical pools must save back unchanged"
+        );
+    }
+}
+
+/// Format version 1 stored treap arenas; this build reads only its own
+/// version and says which.
+#[test]
+fn version_one_snapshots_are_unsupported() {
+    use cachesim::snapshot::FORMAT_VERSION;
+    use cachesim::SnapshotError;
+    assert_eq!(FORMAT_VERSION, 2);
+    for combo in 0..6 {
+        let (mut cache, mut snap) = driven_snapshot(combo);
+        snap[4..8].copy_from_slice(&1u32.to_le_bytes());
+        match cache.restore(&snap) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (1, 2));
+            }
+            other => panic!("combo {combo}: expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+}
