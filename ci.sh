@@ -25,19 +25,17 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== unsafe-adjacent structure checks (miri or debug-assertions) =="
 # The arena-backed treaps (ostree) use unchecked indexing in release,
 # the fxmap hasher feeds every hot map, the swar bit-twiddled argmax
-# drives byte-lane victim selection, the bucketrank slab arena
-# (intrusive doubly-linked bucket lists behind the coarse fast lane)
-# splices raw u32 indices, and the recency index (ranking crate: stamp
-# bitmaps, Fenwick trees, in-place compaction) renumbers stamps in
-# place; run their unit tests under Miri when the component exists,
-# otherwise under an optimized build with debug assertions re-enabled
+# drives byte-lane victim selection, and the recency index (ranking
+# crate: stamp bitmaps, Fenwick trees, in-place compaction) renumbers
+# stamps in place; run their unit tests under Miri when the component
+# exists, otherwise under an optimized build with debug assertions re-enabled
 # so the debug_assert! bounds and invariant checks fire in
 # release-equivalent codegen.
 if cargo miri --version >/dev/null 2>&1; then
-    cargo miri test -q -p cachesim -p ranking -- ostree:: fxmap:: swar:: bucketrank:: recency::
+    cargo miri test -q -p cachesim -p ranking -- ostree:: fxmap:: swar:: recency::
 else
     RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on" \
-        cargo test -q --release --offline -p cachesim -p ranking -- ostree:: fxmap:: swar:: bucketrank:: recency::
+        cargo test -q --release --offline -p cachesim -p ranking -- ostree:: fxmap:: swar:: recency::
 fi
 
 # The smoke bins write results/ relative to the working directory, and

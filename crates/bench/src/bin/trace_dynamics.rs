@@ -8,11 +8,6 @@
 //!   split under equal insertion pressure.
 //! * `vantage` — Vantage's aperture and `fmax`-calibration dynamics
 //!   plus the forced-eviction rate on the same asymmetric split.
-//! * `ranking-ops` — the feedback scenario again on the bucket-backed
-//!   coarse ranking with its opt-in op counters enabled
-//!   (`FutilityRanking::set_op_probes`): per-interval ranking
-//!   operation counts (inserts/removes/hits/retags/rank queries), so
-//!   miss-path time can be attributed to ranking ops.
 //!
 //! Each scenario writes its full time series (long format, plus a
 //! scenario column) into `results/trace_dynamics.csv` and prints ASCII
@@ -22,7 +17,7 @@
 //! Usage: trace_dynamics [--smoke|--quick]
 
 use cachesim::prng::{seed_for, SplitMix64};
-use cachesim::{FutilityRanking, PartitionId, PartitionedCache, Sample};
+use cachesim::{PartitionId, PartitionedCache, Sample};
 use fs_bench::Scale;
 use futility_core::scaling::alpha_two_partitions;
 use futility_core::{FsAnalytic, FsFeedback};
@@ -143,36 +138,6 @@ fn vantage(scale: Scale, index: &mut u64) -> Vec<Scenario> {
     )]
 }
 
-fn ranking_ops(scale: Scale, index: &mut u64) -> Vec<Scenario> {
-    let lines = scale.lines(fs_bench::lines_of_kb(2048));
-    let insertions = scale.accesses(100_000) as u64;
-    let warmup = (lines * 8) as u64;
-    let seed = seed_for("trace_dynamics", next_index(index));
-    let mut sm = SplitMix64::new(seed);
-    // The feedback scenario on the bucket backend, with the ranking's
-    // lazy op counters switched on: the recorder then carries one
-    // global `rank_*` series per op kind, each sample the count since
-    // the previous tick (the first tick also absorbs the warmup).
-    let mut rk = fs_bench::futility_ranking("coarse-lru-bucket");
-    rk.set_op_probes(true);
-    let mut cache = PartitionedCache::new(
-        fs_bench::random_array(lines, R, sm.next_u64()),
-        rk,
-        Box::new(FsFeedback::default_config()),
-        2,
-    );
-    let t0 = lines * 7 / 10;
-    cache.set_targets(&[t0, lines - t0]);
-    vec![run_recorded(
-        "ranking-ops(bucket)",
-        cache,
-        vec![0.5, 0.5],
-        warmup,
-        insertions,
-        sm.next_u64(),
-    )]
-}
-
 fn next_index(index: &mut u64) -> u64 {
     let i = *index;
     *index += 1;
@@ -246,7 +211,6 @@ fn main() {
     scenarios.extend(fs_walk(scale, &mut index));
     scenarios.extend(feedback(scale, &mut index));
     scenarios.extend(vantage(scale, &mut index));
-    scenarios.extend(ranking_ops(scale, &mut index));
 
     // One combined long-format CSV, scenario column first.
     let rows: Vec<Vec<String>> = scenarios
@@ -318,26 +282,5 @@ fn main() {
             "unmanaged occupancy",
             &series_of(&sc.samples, "unmanaged_occupancy", None),
         );
-    }
-    println!();
-
-    // Ranking op attribution: per-interval operation counts from the
-    // bucket backend's opt-in counters (skip the warmup-absorbing
-    // first sample so the strips show steady-state rates).
-    println!("## Ranking op counters (bucket coarse-LRU, per recorder interval)");
-    for sc in scenarios
-        .iter()
-        .filter(|s| s.name.starts_with("ranking-ops"))
-    {
-        for series in [
-            "rank_inserts",
-            "rank_removes",
-            "rank_hits",
-            "rank_queries",
-            "rank_byte_queries",
-        ] {
-            let vals = series_of(&sc.samples, series, None);
-            show(series, vals.get(1..).unwrap_or(&vals));
-        }
     }
 }

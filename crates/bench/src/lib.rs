@@ -14,7 +14,7 @@ use cachesim::hashing::LineHash;
 use cachesim::scheme_api::EvictMaxFutility;
 use cachesim::{Engine, EngineCore, FutilityRanking, PartitionScheme, ShardedEngine};
 use futility_core::{FeedbackConfig, FsFeedback};
-use ranking::{BucketCoarseLru, BucketRrip, CoarseLru, ExactLru, Lfu, Opt, RandomRanking, Rrip};
+use ranking::{CoarseLru, ExactLru, Lfu, Opt, RandomRanking, Rrip};
 use std::path::{Path, PathBuf};
 
 pub mod checkpoint;
@@ -144,7 +144,7 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 }
 
 /// Build an engine for one benchmark-grid cell, monomorphized over the
-/// array × ranking × scheme combination (120 concrete [`EngineCore`]s
+/// array × ranking × scheme combination (90 concrete [`EngineCore`]s
 /// behind one object-safe [`Engine`]), with 16 candidate ways per
 /// array kind at the given line count. The scheme dimension is
 /// devirtualized for the two fast lanes — `"fs-feedback"` and
@@ -153,15 +153,15 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 /// batched miss path; the remaining baselines stay trait objects to
 /// bound the instantiation count (DESIGN.md §10).
 ///
-/// The coarse rankings map to their treap-free bucket backends
-/// ([`BucketCoarseLru`] / [`BucketRrip`], DESIGN.md §14), which produce
-/// identical futility values and therefore identical outcomes. The
-/// exception is the compositions that evict through
-/// `max_futility_line` — the `"full-assoc"` scheme and the
-/// `"fully-assoc"` array — which need the exact-shadow tie-order
-/// semantics only the treap backends provide. The bucket rankings' own
-/// names (`"coarse-lru-bucket"` / `"rrip-bucket"`) always resolve to
-/// the bucket backends.
+/// `"coarse-lru"` is one coarse LRU with an optional exact shadow. It
+/// runs bare ([`CoarseLru::without_exact_shadow`], reporting the name
+/// `"coarse-lru-bare"`) on every array except `"fully-assoc"`: both
+/// configurations compute the same tag arithmetic, so victims are
+/// identical and only the eviction futilities the statistics record
+/// turn coarse. The fully-associative array evicts through
+/// `max_futility_line`, which only the shadow answers, so it keeps
+/// [`CoarseLru::new`]. The figures build their rankings boxed through
+/// [`futility_ranking`], where `"coarse-lru"` keeps the shadow.
 ///
 /// Unknown ranking names fall back to the fully boxed
 /// [`PartitionedCache`](cachesim::PartitionedCache) composition;
@@ -174,11 +174,13 @@ pub fn engine_for(
     seed: u64,
     partitions: usize,
 ) -> Box<dyn Engine> {
-    // Compositions whose evictions go through `max_futility_line` keep
-    // the treap backends: its tie order is exact-shadow-defined there,
-    // and the bucket backends' documented tie-order deviation would
-    // change victims (tests/bucket_vs_treap.rs pins the complement).
-    let evicts_by_max_line = scheme_name == "full-assoc" || array == "fully-assoc";
+    let coarse_lru = || {
+        if array == "fully-assoc" {
+            CoarseLru::new()
+        } else {
+            CoarseLru::without_exact_shadow()
+        }
+    };
     macro_rules! with_scheme {
         ($arr:expr, $rank:expr) => {
             match scheme_name {
@@ -205,13 +207,11 @@ pub fn engine_for(
         ($arr:expr) => {
             match ranking_name {
                 "lru" => with_scheme!($arr, ExactLru::new()),
-                "coarse-lru" if evicts_by_max_line => with_scheme!($arr, CoarseLru::new()),
-                "coarse-lru" | "coarse-lru-bucket" => with_scheme!($arr, BucketCoarseLru::new()),
+                "coarse-lru" => with_scheme!($arr, coarse_lru()),
                 "lfu" => with_scheme!($arr, Lfu::new()),
                 "opt" => with_scheme!($arr, Opt::new()),
                 "random" => with_scheme!($arr, RandomRanking::new(0xFACE)),
-                "rrip" if evicts_by_max_line => with_scheme!($arr, Rrip::new()),
-                "rrip" | "rrip-bucket" => with_scheme!($arr, BucketRrip::new()),
+                "rrip" => with_scheme!($arr, Rrip::new()),
                 other => Box::new(EngineCore::new(
                     Box::new($arr) as Box<dyn CacheArray>,
                     futility_ranking(other),
@@ -232,12 +232,10 @@ pub fn engine_for(
 }
 
 /// Build a [`ShardedEngine`] for a scale-out sweep cell: `shards`
-/// monomorphized cores (16-way set-associative array, coarse-LRU
-/// ranking *without* the exact-rank shadow — at ≥1M lines the
-/// per-pool shadow treaps would dominate memory and time, the bucket
-/// lists measured slower than the bare tag map (EXPERIMENTS.md), and
-/// the sharded sweeps read miss rates and MADs, not exact AEF), each
-/// over `total_lines / shards` lines. The scheme dimension keeps the
+/// monomorphized cores (16-way set-associative array, the bare coarse
+/// LRU of [`engine_for`]'s fast lane, `"coarse-lru-bare"`: the sharded
+/// sweeps read miss rates and MADs, not exact AEF), each over
+/// `total_lines / shards` lines. The scheme dimension keeps the
 /// `engine_for` fast lanes: `"fs-feedback"` and `"unpartitioned"` are
 /// scheme-concrete (byte-lane victim selection folds to constants),
 /// baselines stay boxed.
@@ -369,32 +367,25 @@ mod tests {
         // One cell per scheme arm of the factory: boxed baseline,
         // concrete fs-feedback and concrete unpartitioned (the latter
         // two exercising the monomorphized byte lane where the ranking
-        // supports it). The coarse cells are deliberately cross-backend:
-        // `engine_for` hands them the bucket backends while the boxed
-        // reference composition uses the treap rankings — identical
-        // futility values must yield identical outcomes. The `treap`
-        // cells build the treap cores `engine_for` keeps for
-        // `max_futility_line` compositions.
+        // supports it). The coarse-lru cells are deliberately
+        // cross-configuration: `engine_for` hands them the bare tag map
+        // while the boxed reference keeps the exact shadow — identical
+        // tag arithmetic must yield identical outcomes. The `shadowed`
+        // cell builds the shadowed core directly.
         for (arr, rank, sch) in [
             ("set-assoc", "lru", "pf"),
             ("zcache", "rrip", "fs-feedback"),
+            ("set-assoc", "rrip", "unpartitioned"),
             ("rand-cands", "coarse-lru", "fs-feedback"),
             ("set-assoc", "coarse-lru", "unpartitioned"),
-            ("set-assoc", "coarse-lru treap", "fs-feedback"),
-            ("set-assoc", "rrip treap", "unpartitioned"),
-            ("zcache", "rrip-bucket", "fs-feedback"),
+            ("zcache", "coarse-lru", "prism"),
+            ("set-assoc", "coarse-lru shadowed", "fs-feedback"),
         ] {
-            let mut mono: Box<dyn Engine> = match (rank, sch) {
-                ("coarse-lru treap", "fs-feedback") => Box::new(EngineCore::new(
+            let mut mono: Box<dyn Engine> = match rank {
+                "coarse-lru shadowed" => Box::new(EngineCore::new(
                     set_assoc(),
                     CoarseLru::new(),
                     FsFeedback::default_config(),
-                    2,
-                )),
-                ("rrip treap", "unpartitioned") => Box::new(EngineCore::new(
-                    set_assoc(),
-                    Rrip::new(),
-                    EvictMaxFutility,
                     2,
                 )),
                 _ => engine_for(arr, rank, sch, 256, 9, 2),
@@ -404,9 +395,8 @@ mod tests {
                 "rand-cands" => Box::new(RandomCandidates::new(256, 16, 9)),
                 _ => Box::new(ZCache::new(64, 4, 16, 9)),
             };
-            // The boxed reference always uses the canonical treap
-            // ranking of the family.
-            let boxed_rank = rank.trim_end_matches(" treap").trim_end_matches("-bucket");
+            // The boxed reference always keeps the exact shadow.
+            let boxed_rank = rank.trim_end_matches(" shadowed");
             let mut boxed =
                 PartitionedCache::new(array, futility_ranking(boxed_rank), scheme(sch), 2);
             let mut block = AccessBlock::new();

@@ -634,14 +634,15 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             .array
             .lookup(victim_addr)
             .expect("ranking/array out of sync");
-        let futility = self.ranking.true_futility(victim_pool, victim_addr);
-        self.evict(slot, victim_pool, victim_addr, futility);
+        // The pool's most futile line ranks last: its exact futility is
+        // 1.0 by definition, so there is nothing to look up.
+        self.evict(slot, victim_pool, victim_addr, 1.0);
         self.install(slot, dest_pool, addr, meta);
         AccessOutcome::Miss {
             evicted: Some(Eviction {
                 addr: victim_addr,
                 part: victim_pool,
-                futility,
+                futility: 1.0,
             }),
         }
     }

@@ -32,7 +32,6 @@
 //! ```
 
 pub mod array;
-pub mod bucketrank;
 pub mod engine;
 pub mod fxmap;
 pub mod hashing;

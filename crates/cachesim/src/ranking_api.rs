@@ -108,9 +108,9 @@ impl HitRunAgg {
     /// This is the dedup shape for rankings that replicate a cheap
     /// per-record half (timestamp/generation ticks, which may observe
     /// every access) but whose per-line state is a *last-writer-wins*
-    /// overwrite: the expensive part (a bucket move, a map write, a
-    /// recency restamp) runs once per distinct line, exactly at the
-    /// position the scalar replay would leave it, so the final per-line
+    /// overwrite: the expensive part (a map write, a recency restamp)
+    /// runs once per distinct line, exactly at the position the scalar
+    /// replay would leave it, so the final per-line
     /// state *and* any observable touch order match the scalar path bit
     /// for bit — and per-line updates land in time order, which an
     /// append-only recency index needs.
@@ -244,26 +244,28 @@ pub trait FutilityRanking: Send {
     }
 
     /// The globally most-futile line of `part`, if the ranking can answer
-    /// that (needed only by the idealized fully-associative scheme).
+    /// that (needed only by the fully-associative array). That line's
+    /// [`true_futility`](Self::true_futility) is exactly 1.0, so the
+    /// engine records it without asking.
     fn max_futility_line(&self, part: PartitionId) -> Option<u64>;
 
     /// Number of lines currently tracked in `part`.
     fn pool_len(&self, part: PartitionId) -> usize;
 
-    /// Enable (or disable) the ranking's internal operation counters —
-    /// inserts, removes, hit touches, retags, rank and byte-lane
-    /// queries — surfaced through [`telemetry`](Self::telemetry).
-    /// Follows the lazy/opt-in discipline of the futility histogram:
-    /// disabled (the default, and the default implementation ignores
-    /// the call) the hot path pays at most a predictable branch.
+    /// Enable (or disable) ranking-internal operation counters,
+    /// surfaced through [`telemetry`](Self::telemetry). No ranking in
+    /// the workspace keeps such counters, so every one takes this
+    /// no-op default; the hook remains only because perfbench's
+    /// `Timed` wrapper forwards it, and perfbench's traced
+    /// `ranking.*.calls` layers count the same trait calls from
+    /// outside. Removing it needs a change to that wrapper.
     fn set_op_probes(&mut self, _enabled: bool) {}
 
     /// Push ranking-level telemetry probes, sampled by the flight
-    /// recorder on every tick after the scheme's probes. Rankings with
-    /// op counters enabled emit per-interval operation counts here so
-    /// miss-path time can be attributed to ranking ops; the default
-    /// (and any ranking with probes disabled) emits nothing, keeping
-    /// all existing recorder output byte-identical.
+    /// recorder on every tick after the scheme's probes. Every ranking
+    /// in the workspace takes this empty default; like
+    /// [`set_op_probes`](Self::set_op_probes), it remains only because
+    /// perfbench's `Timed` wrapper forwards it.
     fn telemetry(&self, _out: &mut Vec<Probe>) {}
 
     /// Serialize all ranking state — pool contents, timestamps, shadow

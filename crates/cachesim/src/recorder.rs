@@ -42,8 +42,7 @@ pub(crate) struct RecordCtx<'a> {
     /// The partitioning scheme, for [`PartitionScheme::telemetry`].
     pub scheme: &'a dyn PartitionScheme,
     /// The futility ranking, for [`FutilityRanking::telemetry`]
-    /// (ranking op counters; empty unless opted in via
-    /// [`FutilityRanking::set_op_probes`]).
+    /// (empty for every ranking in the workspace).
     pub ranking: &'a dyn FutilityRanking,
 }
 

@@ -114,40 +114,6 @@ pub fn argmax_u15(vals: &[u16]) -> usize {
     unreachable!("maximum vanished between passes")
 }
 
-/// Reference implementation for [`sum_u32`]: plain widening sum.
-pub fn sum_u32_scalar(vals: &[u32]) -> u64 {
-    vals.iter().map(|&v| v as u64).sum()
-}
-
-/// Sum of a short row of `u32` counters, two 32-bit lanes per `u64`
-/// word. This is the horizontal primitive of the two-level bucket
-/// ranking (`bucketrank`): range-rank queries reduce to sums over a
-/// 16-lane summary row plus at most two 16-counter partial rows, so
-/// every call site hands in at most 16 values.
-///
-/// Lane safety: each addend must stay below `2^27` (a per-bucket or
-/// per-row *line count*, so bounded by the pool's population — far
-/// below that for any simulated cache) and the slice at most 16 long;
-/// then each 32-bit lane accumulates `< 8 · 2^27 = 2^30` and no carry
-/// can cross the lane boundary. Both bounds are debug-asserted, and
-/// the result is pinned bit-exact to [`sum_u32_scalar`].
-pub fn sum_u32(vals: &[u32]) -> u64 {
-    debug_assert!(vals.len() <= 16, "sum_u32 row too long: {}", vals.len());
-    debug_assert!(vals.iter().all(|&v| v < 1 << 27), "sum_u32 addend overflow");
-    // Two lanes per word: low counter in bits 0..32, high in 32..64.
-    let mut acc = 0u64;
-    let mut pairs = vals.chunks_exact(2);
-    for p in &mut pairs {
-        acc += (p[0] as u64) | ((p[1] as u64) << 32);
-    }
-    let mut total = (acc & 0xFFFF_FFFF) + (acc >> 32);
-    if let [odd] = pairs.remainder() {
-        total += *odd as u64;
-    }
-    debug_assert_eq!(total, sum_u32_scalar(vals));
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,34 +187,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sum_matches_scalar_on_every_length() {
-        // Every row length the two-level descent can produce (0..=16),
-        // over pseudorandom counters up to the documented lane bound.
-        let mut x = 0xD1B54A32D192ED03u64;
-        for len in 0..=16usize {
-            for _ in 0..50 {
-                let mut vals = Vec::with_capacity(len);
-                for _ in 0..len {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    vals.push(((x >> 37) % (1 << 27)) as u32);
-                }
-                assert_eq!(sum_u32(&vals), sum_u32_scalar(&vals), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_handles_bound_values() {
-        // 16 addends at the lane bound minus one: the worst legal case.
-        let vals = [(1u32 << 27) - 1; 16];
-        assert_eq!(sum_u32(&vals), 16 * ((1u64 << 27) - 1));
-        assert_eq!(sum_u32(&[]), 0);
-        assert_eq!(sum_u32(&[7]), 7);
     }
 
     #[test]

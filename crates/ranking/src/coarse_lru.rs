@@ -12,7 +12,9 @@
 //! An optional *exact shadow* (on by default) maintains precise ranks so
 //! that measured associativity CDFs use true futility, as the paper's
 //! evaluation does; the shadow never influences replacement decisions.
-//! It is the same stamp-ordered recency index as `ExactLru`'s.
+//! It is the same stamp-ordered recency index as `ExactLru`'s. Without
+//! it (`"coarse-lru-bare"`) the ranking is the bare tag map: the same
+//! victims, coarse eviction futilities, and no `max_futility_line`.
 
 use crate::pool::read_shadow_pool;
 use crate::recency::RecencyRank;
@@ -79,7 +81,9 @@ impl CoarseLru {
     }
 
     /// Without the exact shadow: pure hardware behaviour, cheapest
-    /// simulation. `true_futility` falls back to the coarse estimate.
+    /// simulation. `true_futility` falls back to the coarse estimate,
+    /// `max_futility_line` answers `None`, and the ranking reports the
+    /// name `"coarse-lru-bare"`.
     pub fn without_exact_shadow() -> Self {
         CoarseLru::with_shadow_pools(0)
     }
@@ -120,7 +124,11 @@ impl Default for CoarseLru {
 
 impl FutilityRanking for CoarseLru {
     fn name(&self) -> &'static str {
-        "coarse-lru"
+        if self.shadow_limit == 0 {
+            "coarse-lru-bare"
+        } else {
+            "coarse-lru"
+        }
     }
 
     fn reset(&mut self, pools: usize) {
@@ -372,6 +380,8 @@ mod tests {
         r.on_insert(P, 1, 1, META);
         assert_eq!(r.true_futility(P, 1), r.futility(P, 1));
         assert_eq!(r.max_futility_line(P), None);
+        assert_eq!(r.name(), "coarse-lru-bare");
+        assert_eq!(CoarseLru::new().name(), "coarse-lru");
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   see `recency`).
 //! * [`CoarseLru`] — the paper's practical hardware ranking (§V-A):
 //!   8-bit per-partition timestamps bumped every `size/16` accesses;
-//!   futility is the modular timestamp distance. Optionally carries an
-//!   exact shadow rank (the same recency index as `ExactLru`) so
-//!   measured associativity stays precise.
+//!   futility is the modular timestamp distance. [`CoarseLru::new`]
+//!   adds an exact shadow rank (the same recency index as `ExactLru`)
+//!   so measured associativity stays precise;
+//!   [`CoarseLru::without_exact_shadow`] is the bare tag map
+//!   (`"coarse-lru-bare"`), the hardware behaviour alone.
 //! * [`Lfu`] — least-frequently-used (access counts, LRU tiebreak),
 //!   ranked by an order-statistic treap, like OPT and Random.
 //! * [`Opt`] — Belady's OPT: ranks by time-to-next-reference, consuming
@@ -25,9 +27,6 @@
 //! * [`Rrip`] — RRIP-style 2-bit re-reference prediction (an extension
 //!   beyond the paper), with the same exact recency shadow as
 //!   [`CoarseLru`] for measurement.
-//! * [`BucketCoarseLru`] / [`BucketRrip`] — shadow-free bucket backends
-//!   for the two coarse rankings: identical futility values, O(1)
-//!   ranking ops, counting-prefix `true_futility` (see `bucketed`).
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@
 //! assert_eq!(r.max_futility_line(p), Some(0xA)); // oldest line
 //! ```
 
-mod bucketed;
 mod coarse_lru;
 mod exact_lru;
 mod lfu;
@@ -53,7 +51,6 @@ mod random;
 mod recency;
 mod rrip;
 
-pub use bucketed::{BucketCoarseLru, BucketRrip};
 pub use coarse_lru::CoarseLru;
 pub use exact_lru::ExactLru;
 pub use lfu::Lfu;
@@ -64,25 +61,23 @@ pub use rrip::Rrip;
 use cachesim::FutilityRanking;
 
 /// Names of the canonical rankings enumerated by experiment sweeps.
-/// The bucket backends (`"coarse-lru-bucket"`, `"rrip-bucket"`) are
-/// additionally constructible via [`by_name`] but are not listed here:
-/// they produce the same futility values as their treap counterparts,
-/// so sweeping them as separate schemes would double-count.
+/// [`by_name`] also resolves `"coarse-lru-bare"`, the shadow-less
+/// [`CoarseLru`]: it picks the same victims as `"coarse-lru"`, so
+/// sweeping it as a separate scheme would double-count.
 pub const ALL_RANKINGS: [&str; 6] = ["lru", "coarse-lru", "lfu", "opt", "random", "rrip"];
 
-/// Construct a ranking by name (`"lru"`, `"coarse-lru"`, `"lfu"`,
-/// `"opt"`, `"random"`, `"rrip"`, `"coarse-lru-bucket"`,
-/// `"rrip-bucket"`). Returns `None` for unknown names.
+/// Construct a ranking by name: one of [`ALL_RANKINGS`] or
+/// `"coarse-lru-bare"`. Every ranking reports a name that resolves
+/// back to its own configuration. Returns `None` for unknown names.
 pub fn by_name(name: &str) -> Option<Box<dyn FutilityRanking>> {
     match name {
         "lru" => Some(Box::new(ExactLru::new())),
         "coarse-lru" => Some(Box::new(CoarseLru::new())),
-        "coarse-lru-bucket" => Some(Box::new(BucketCoarseLru::new())),
+        "coarse-lru-bare" => Some(Box::new(CoarseLru::without_exact_shadow())),
         "lfu" => Some(Box::new(Lfu::new())),
         "opt" => Some(Box::new(Opt::new())),
         "random" => Some(Box::new(RandomRanking::new(0xFACE))),
         "rrip" => Some(Box::new(Rrip::new())),
-        "rrip-bucket" => Some(Box::new(BucketRrip::new())),
         _ => None,
     }
 }
@@ -90,17 +85,129 @@ pub fn by_name(name: &str) -> Option<Box<dyn FutilityRanking>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachesim::{AccessMeta, PartitionId, SnapshotWriter};
+
+    const POOLS: usize = 3;
+
+    /// Drive `r` through a seeded stream of inserts, hits, evictions
+    /// and retags over three pools, with strictly increasing times and
+    /// varying next-use hints, calling `check(r, pool)` after each
+    /// eviction. Every pool keeps at least one line once filled.
+    fn mixed_stream(
+        r: &mut dyn FutilityRanking,
+        mut check: impl FnMut(&dyn FutilityRanking, PartitionId),
+    ) {
+        r.reset(POOLS);
+        // The tracked lines, as (addr, pool).
+        let mut resident: Vec<(u64, PartitionId)> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for time in 1..=6_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (x >> 33) as usize;
+            let meta = AccessMeta::with_next_use(time + (x >> 50));
+            let part = PartitionId((pick % POOLS) as u16);
+            match (x >> 20) % 8 {
+                0..=2 if resident.len() < 300 => {
+                    let addr = time << 8 | part.0 as u64;
+                    r.on_insert(part, addr, time, meta);
+                    resident.push((addr, part));
+                }
+                3..=5 if !resident.is_empty() => {
+                    let (addr, pool) = resident[pick % resident.len()];
+                    r.on_hit(pool, addr, time, meta);
+                }
+                6 if resident.len() > 2 * POOLS => {
+                    let (addr, pool) = resident.swap_remove(pick % resident.len());
+                    if r.pool_len(pool) > 1 {
+                        r.on_evict(pool, addr);
+                        check(&*r, pool);
+                    } else {
+                        resident.push((addr, pool));
+                    }
+                }
+                7 if !resident.is_empty() => {
+                    let i = pick % resident.len();
+                    let (addr, from) = resident[i];
+                    if from != part && r.pool_len(from) > 1 {
+                        r.on_retag(from, part, addr);
+                        resident[i].1 = part;
+                    }
+                }
+                _ => {}
+            }
+        }
+        for p in 0..POOLS as u16 {
+            check(&*r, PartitionId(p));
+        }
+    }
+
+    fn snapshot_of(r: &dyn FutilityRanking) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        r.save_state(&mut w);
+        w.finish()
+    }
 
     #[test]
     fn by_name_covers_all_rankings() {
-        for name in ALL_RANKINGS {
-            let r = by_name(name).unwrap_or_else(|| panic!("missing ranking {name}"));
-            assert_eq!(r.name(), name);
-        }
-        for name in ["coarse-lru-bucket", "rrip-bucket"] {
+        for name in ALL_RANKINGS.into_iter().chain(["coarse-lru-bare"]) {
             let r = by_name(name).unwrap_or_else(|| panic!("missing ranking {name}"));
             assert_eq!(r.name(), name);
         }
         assert!(by_name("belady9000").is_none());
+        // Every ranking the engine factories build (`engine_for` and
+        // `sharded_engine_for` in fs-bench) reports a name that
+        // rebuilds its own configuration: after the same op stream the
+        // rebuilt ranking saves identical snapshot bytes. Tools that
+        // rebuild an engine's ranking from `name()` rely on this.
+        let built: [Box<dyn FutilityRanking>; 7] = [
+            Box::new(ExactLru::new()),
+            Box::new(CoarseLru::new()),
+            Box::new(CoarseLru::without_exact_shadow()),
+            Box::new(Lfu::new()),
+            Box::new(Opt::new()),
+            Box::new(RandomRanking::new(0xFACE)),
+            Box::new(Rrip::new()),
+        ];
+        for mut r in built {
+            let name = r.name();
+            let mut twin = by_name(name).unwrap_or_else(|| panic!("{name} does not resolve"));
+            mixed_stream(r.as_mut(), |_, _| {});
+            mixed_stream(twin.as_mut(), |_, _| {});
+            assert!(snapshot_of(&*r) == snapshot_of(&*twin), "{name}");
+        }
+    }
+
+    /// The line `max_futility_line` returns is its pool's most futile,
+    /// so its exact rank is 1.0 in every ranking that answers the query
+    /// (the engine's fully-associative path records it without asking).
+    #[test]
+    fn max_futility_line_has_true_futility_one() {
+        let rankings: [Box<dyn FutilityRanking>; 7] = [
+            Box::new(ExactLru::new()),
+            Box::new(CoarseLru::new()),
+            Box::new(Lfu::new()),
+            Box::new(Opt::new()),
+            Box::new(RandomRanking::new(0xFACE)),
+            Box::new(Rrip::new()),
+            cachesim::naive_lru(),
+        ];
+        for mut r in rankings {
+            let name = r.name();
+            let mut checked = 0;
+            mixed_stream(r.as_mut(), |r, pool| {
+                let line = r
+                    .max_futility_line(pool)
+                    .unwrap_or_else(|| panic!("{name}: no most futile line in {pool:?}"));
+                assert_eq!(
+                    r.true_futility(pool, line),
+                    1.0,
+                    "{name}: {line:#x} in {pool:?}"
+                );
+                checked += 1;
+            });
+            assert!(checked > 100, "{name}: only {checked} checks");
+        }
     }
 }

@@ -12,7 +12,7 @@ use testkit::{check, int_range, tk_assert, tk_assert_eq, vec_of, CaseResult};
 const PARTS: usize = 3;
 
 const ARRAYS: usize = 5;
-const RANKINGS: usize = 9;
+const RANKINGS: usize = 8;
 const SCHEMES: usize = 6;
 
 fn build(array_idx: usize, ranking_idx: usize, scheme_idx: usize, seed: u64) -> PartitionedCache {
@@ -24,13 +24,11 @@ fn build(array_idx: usize, ranking_idx: usize, scheme_idx: usize, seed: u64) -> 
         _ => Box::new(FullyAssociative::new(32)),
     };
     // Indices 0..6 are the sweep registry, 6 the naive shadow reference,
-    // 7..9 the treap-free bucket backends (DESIGN.md §14) whose
-    // `on_hit_batch` replays hit runs last-writer-wins.
+    // 7 the bare coarse LRU of `engine_for`'s fast lane (DESIGN.md §14).
     let ranking: Box<dyn FutilityRanking> = match ranking_idx {
         i if i < 6 => ranking::by_name(ranking::ALL_RANKINGS[i]).unwrap(),
         6 => cachesim::naive_lru(),
-        7 => ranking::by_name("coarse-lru-bucket").unwrap(),
-        _ => ranking::by_name("rrip-bucket").unwrap(),
+        _ => ranking::by_name("coarse-lru-bare").unwrap(),
     };
     let scheme: Box<dyn PartitionScheme> = match scheme_idx {
         0 => cachesim::evict_max_futility(),
@@ -41,10 +39,18 @@ fn build(array_idx: usize, ranking_idx: usize, scheme_idx: usize, seed: u64) -> 
         _ => Box::new(Prism::default_config()),
     };
     // The fully-associative array needs a ranking with max_futility_line;
-    // NaiveLru and the registry rankings all provide it.
+    // NaiveLru and the registry rankings all provide it (see
+    // `composable`).
     let mut cache = PartitionedCache::new(array, ranking, scheme, PARTS);
     cache.set_targets(&[16, 10, 6]);
     cache
+}
+
+/// Whether the grid builds this array × ranking pair: the bare coarse
+/// LRU answers no `max_futility_line`, so it cannot evict from the
+/// fully-associative array (`fs_bench::engine_for` never pairs them).
+fn composable(array_idx: usize, ranking_idx: usize) -> bool {
+    !(array_idx == 4 && ranking_idx == 7)
 }
 
 /// Generated case: an access stream, a block-size schedule (cycled over
@@ -55,6 +61,9 @@ type BatchCase = ((Vec<(u16, u64)>, Vec<usize>), (usize, usize, usize));
 fn prop_batch_matches_scalar(
     ((accesses, block_sizes), (array_idx, ranking_idx, scheme_idx)): &BatchCase,
 ) -> CaseResult {
+    if !composable(*array_idx, *ranking_idx) {
+        return Ok(());
+    }
     let mut scalar = build(*array_idx, *ranking_idx, *scheme_idx, 7);
     let mut batched = build(*array_idx, *ranking_idx, *scheme_idx, 7);
 
@@ -149,7 +158,7 @@ fn batch_straddles_warmup_reset() {
         (3, 5, 5),
         (4, 2, 0),
         (0, 7, 3),
-        (2, 8, 5),
+        (2, 7, 5),
     ] {
         let mut scalar = build(array_idx, ranking_idx, scheme_idx, 7);
         let mut batched = build(array_idx, ranking_idx, scheme_idx, 7);
@@ -203,6 +212,9 @@ fn assert_streams_match(
     scheme_idx: usize,
     stream: &[(PartitionId, u64)],
 ) {
+    if !composable(array_idx, ranking_idx) {
+        return;
+    }
     let ctx = format!("cell {array_idx}/{ranking_idx}/{scheme_idx}");
     let mut scalar = build(array_idx, ranking_idx, scheme_idx, 7);
     let mut batched = build(array_idx, ranking_idx, scheme_idx, 7);
@@ -417,7 +429,7 @@ fn byte_lane_matches_f64_path_bit_exactly() {
         [&|| cachesim::evict_max_futility(), &|| {
             Box::new(FsFeedback::default_config())
         }];
-    for ranking_name in ["coarse-lru", "rrip", "coarse-lru-bucket", "rrip-bucket"] {
+    for ranking_name in ["coarse-lru", "rrip", "coarse-lru-bare"] {
         for make_scheme in schemes {
             let build_one = |scheme: Box<dyn PartitionScheme>| {
                 let mut c = PartitionedCache::new(

@@ -57,10 +57,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use cachesim::array::SetAssociative;
 use cachesim::hashing::LineHash;
 use cachesim::prng::{seed_for, Prng};
-use cachesim::scheme_api::EvictMaxFutility;
 use cachesim::{AccessBlock, AccessMeta, Engine, EngineCore, PartitionId, PartitionedCache, Trace};
 use futility_core::FsFeedback;
-use ranking::{CoarseLru, Rrip};
+use ranking::CoarseLru;
 
 const PARTS: usize = 4;
 const LINES: usize = 512;
@@ -106,11 +105,10 @@ fn warm_cache_access_never_allocates() {
     let rankings = [
         "lru",
         "coarse-lru",
-        "coarse-lru-bucket",
+        "coarse-lru-bare",
         "lfu",
         "random",
         "rrip",
-        "rrip-bucket",
         "opt",
     ];
     let schemes = [
@@ -181,16 +179,7 @@ fn warm_batched_access_never_allocates() {
             AccessMeta::with_next_use(wl.2[i]),
         );
     }
-    let rankings = [
-        "lru",
-        "coarse-lru",
-        "coarse-lru-bucket",
-        "lfu",
-        "random",
-        "rrip",
-        "rrip-bucket",
-        "opt",
-    ];
+    let rankings = ["lru", "coarse-lru", "lfu", "random", "rrip", "opt"];
     let schemes = [
         "unpartitioned",
         "pf",
@@ -237,12 +226,10 @@ fn warm_batched_access_never_allocates() {
 /// access misses) must reach the same two-consecutive-clean-passes
 /// steady state. Cells are chosen to cover both byte-lane scratch
 /// buffers — the engine's raw-numerator vector (coarse-lru / rrip) and
-/// fs-feedback's shifted copy — alongside a treap-exact ranking whose
-/// miss path stays on the f64 lane. The coarse names resolve to the *bucket* backends through
-/// `engine_for` (the default fast lane), so the first four cells prove
-/// the bucket-backed miss path — node free-list reuse across the
-/// evict-then-install order — and the two treap cores, built directly,
-/// keep the treap arenas covered.
+/// fs-feedback's shifted copy — alongside an exact ranking whose miss
+/// path stays on the f64 lane. `engine_for` runs `coarse-lru` bare on
+/// this array, so the shadowed core, built directly, keeps the
+/// coarse LRU's exact shadow covered.
 #[test]
 fn warm_batched_miss_runs_never_allocate() {
     let _serial = serial();
@@ -253,28 +240,20 @@ fn warm_batched_miss_runs_never_allocate() {
         let addr = p as u64 * 10_000_000 + rng.gen_range(0..64 * LINES as u64);
         block.push(PartitionId(p), addr, AccessMeta::default());
     }
-    let set_assoc = || SetAssociative::with_lines(LINES, 16, LineHash::new(7));
     let mut failures = Vec::new();
     for (ranking, scheme) in [
         ("coarse-lru", "fs-feedback"),
         ("rrip", "unpartitioned"),
         ("coarse-lru", "unpartitioned"),
         ("rrip", "fs-feedback"),
-        ("coarse-lru treap", "fs-feedback"),
-        ("rrip treap", "unpartitioned"),
+        ("coarse-lru shadowed", "fs-feedback"),
         ("lru", "fs-feedback"),
     ] {
-        let mut cache: Box<dyn Engine> = match (ranking, scheme) {
-            ("coarse-lru treap", "fs-feedback") => Box::new(EngineCore::new(
-                set_assoc(),
+        let mut cache: Box<dyn Engine> = match ranking {
+            "coarse-lru shadowed" => Box::new(EngineCore::new(
+                SetAssociative::with_lines(LINES, 16, LineHash::new(7)),
                 CoarseLru::new(),
                 FsFeedback::default_config(),
-                PARTS,
-            )),
-            ("rrip treap", "unpartitioned") => Box::new(EngineCore::new(
-                set_assoc(),
-                Rrip::new(),
-                EvictMaxFutility,
                 PARTS,
             )),
             _ => fs_bench::engine_for("set-assoc", ranking, scheme, LINES, 7, PARTS),
