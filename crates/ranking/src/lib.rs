@@ -67,8 +67,10 @@ use cachesim::FutilityRanking;
 pub const ALL_RANKINGS: [&str; 6] = ["lru", "coarse-lru", "lfu", "opt", "random", "rrip"];
 
 /// Construct a ranking by name: one of [`ALL_RANKINGS`] or
-/// `"coarse-lru-bare"`. Every ranking reports a name that resolves
-/// back to its own configuration. Returns `None` for unknown names.
+/// `"coarse-lru-bare"`. Every ranking the engine factories build
+/// (`engine_for` and `sharded_engine_for` in fs-bench) reports a name
+/// that resolves back to its own configuration. Returns `None` for
+/// unknown names.
 pub fn by_name(name: &str) -> Option<Box<dyn FutilityRanking>> {
     match name {
         "lru" => Some(Box::new(ExactLru::new())),
