@@ -160,13 +160,23 @@ echo "== perfbench timing gate (end-to-end metric medians vs the committed A/A m
 # `better` direction: the bounds were sized for medians, and a single
 # run's tail latency and set-up time follow the host's swings. Host
 # times are normalised to nominal host speed by perfbench itself. Any
-# failed perfbench check fails the gate too.
+# failed perfbench check fails the gate too. Each workload's host_speed
+# is printed next to the baseline's, and a failure prints the whole
+# table, so a slow host can be told apart from a regression afterwards.
 RUN_S=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 perfbench --aa 3 --seconds "$RUN_S" > "$CI_TMP/timing.txt"
-if awk '$2 == "check_failures" && $5 != 0 { bad = 1 } END { exit !bad }' "$CI_TMP/timing.txt"; then
-    echo "TIMING GATE FAILED: a perfbench check failed in one of the runs"
-    grep ' check_failures ' "$CI_TMP/timing.txt"
+timing_failed() {
+    if [ $# -gt 0 ]; then echo "$1"; fi
+    echo "perfbench --aa 3 table of this run:"
+    cat "$CI_TMP/timing.txt"
     exit 1
+}
+echo "host_speed median (q1-q3) of this run vs the baseline's:"
+awk 'FILENAME == ARGV[1] { if ($2 == "host_speed") base[$1] = sprintf("%.3f (%.3f-%.3f)", $3, $4, $5); next }
+     $2 == "host_speed" { printf "  %-9s %.3f (%.3f-%.3f) vs %s\n", $1, $3, $4, $5, base[$1] }' \
+    results/perfbench_baseline.txt "$CI_TMP/timing.txt"
+if awk '$2 == "check_failures" && $5 != 0 { bad = 1 } END { exit !bad }' "$CI_TMP/timing.txt"; then
+    timing_failed "TIMING GATE FAILED: a perfbench check failed in one of the runs"
 fi
 awk 'function field(s, key,   i, v) {
          i = index(s, "\"" key "\":")
@@ -194,6 +204,6 @@ awk 'function field(s, key,   i, v) {
      END {
          if (n == 0 || seen != n) { print "TIMING GATE FAILED: " seen " of " n " baseline metrics reported"; exit 1 }
          if (bad) { print "TIMING GATE FAILED: " bad " metric(s) worse than the baseline by more than their bound"; exit 1 }
-     }' BENCHMARK.json results/perfbench_baseline.txt "$CI_TMP/timing.txt"
+     }' BENCHMARK.json results/perfbench_baseline.txt "$CI_TMP/timing.txt" || timing_failed
 
 echo "CI OK"

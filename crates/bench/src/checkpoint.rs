@@ -81,24 +81,6 @@ impl Checkpointing {
         }
     }
 
-    /// A policy that neither writes nor resumes (the default for tests
-    /// and library callers).
-    pub fn disabled() -> Self {
-        Checkpointing {
-            every: None,
-            dir: PathBuf::from("results/checkpoints"),
-            resume: None,
-            stop_after: None,
-        }
-    }
-
-    /// Whether this run writes or reads checkpoints at all — when
-    /// false, [`run`](Self::run) is exactly one uninterrupted
-    /// `driver.run` call.
-    pub fn active(&self) -> bool {
-        self.every.is_some() || self.resume.is_some()
-    }
-
     /// Whether `--resume DIR` was given: callers must attach their
     /// measurement recorder *before* [`try_resume`](Self::try_resume)
     /// (the checkpointed engine image expects one) instead of after

@@ -11,10 +11,9 @@ use cachesim::array::{
     FullyAssociative, RandomCandidates, SetAssociative, SkewAssociative, ZCache,
 };
 use cachesim::hashing::LineHash;
-use cachesim::scheme_api::EvictMaxFutility;
 use cachesim::{Engine, EngineCore, FutilityRanking, PartitionScheme, ShardedEngine};
 use futility_core::{FeedbackConfig, FsFeedback};
-use ranking::{CoarseLru, ExactLru, Lfu, Opt, RandomRanking, Rrip};
+use ranking::{CoarseLru, ExactLru};
 use std::path::{Path, PathBuf};
 
 pub mod checkpoint;
@@ -143,15 +142,15 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
     ranking::by_name(name).unwrap_or_else(|| panic!("unknown ranking {name}"))
 }
 
-/// Build an engine for one benchmark-grid cell, monomorphized over the
-/// array × ranking × scheme combination (90 concrete [`EngineCore`]s
-/// behind one object-safe [`Engine`]), with 16 candidate ways per
-/// array kind at the given line count. The scheme dimension is
-/// devirtualized for the two fast lanes — `"fs-feedback"` and
-/// `"unpartitioned"` — whose byte-lane capability checks and
+/// Build an engine for one benchmark-grid cell, with 16 candidate ways
+/// per array kind at the given line count. The two rankings perfbench's
+/// cells run, `"lru"` and `"coarse-lru"`, are monomorphized over each
+/// array: 20 concrete [`EngineCore`]s behind one object-safe
+/// [`Engine`]. The scheme dimension is devirtualized for
+/// `"fs-feedback"`, whose byte-lane capability checks and
 /// `notify_insert`/`notify_evict` hooks then inline to constants on the
-/// batched miss path; the remaining baselines stay trait objects to
-/// bound the instantiation count (DESIGN.md §10).
+/// batched miss path; every other scheme stays a trait object
+/// (DESIGN.md §10).
 ///
 /// `"coarse-lru"` is one coarse LRU with an optional exact shadow. It
 /// runs bare ([`CoarseLru::without_exact_shadow`], reporting the name
@@ -163,9 +162,12 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 /// [`CoarseLru::new`]. The figures build their rankings boxed through
 /// [`futility_ranking`], where `"coarse-lru"` keeps the shadow.
 ///
-/// Unknown ranking names fall back to the fully boxed
-/// [`PartitionedCache`](cachesim::PartitionedCache) composition;
-/// unknown array names panic.
+/// Every other ranking name builds the fully boxed
+/// [`PartitionedCache`](cachesim::PartitionedCache) composition the
+/// figures run, with the ranking from [`futility_ranking`].
+///
+/// # Panics
+/// Panics on unknown array, ranking or scheme names.
 pub fn engine_for(
     array: &str,
     ranking_name: &str,
@@ -184,16 +186,12 @@ pub fn engine_for(
     macro_rules! with_scheme {
         ($arr:expr, $rank:expr) => {
             match scheme_name {
-                "unpartitioned" => {
-                    Box::new(EngineCore::new($arr, $rank, EvictMaxFutility, partitions))
-                        as Box<dyn Engine>
-                }
                 "fs-feedback" => Box::new(EngineCore::new(
                     $arr,
                     $rank,
                     FsFeedback::new(FeedbackConfig::default()),
                     partitions,
-                )),
+                )) as Box<dyn Engine>,
                 _ => Box::new(EngineCore::new(
                     $arr,
                     $rank,
@@ -208,10 +206,6 @@ pub fn engine_for(
             match ranking_name {
                 "lru" => with_scheme!($arr, ExactLru::new()),
                 "coarse-lru" => with_scheme!($arr, coarse_lru()),
-                "lfu" => with_scheme!($arr, Lfu::new()),
-                "opt" => with_scheme!($arr, Opt::new()),
-                "random" => with_scheme!($arr, RandomRanking::new(0xFACE)),
-                "rrip" => with_scheme!($arr, Rrip::new()),
                 other => Box::new(EngineCore::new(
                     Box::new($arr) as Box<dyn CacheArray>,
                     futility_ranking(other),
@@ -231,14 +225,13 @@ pub fn engine_for(
     }
 }
 
-/// Build a [`ShardedEngine`] for a scale-out sweep cell: `shards`
-/// monomorphized cores (16-way set-associative array, the bare coarse
-/// LRU of [`engine_for`]'s fast lane, `"coarse-lru-bare"`: the sharded
-/// sweeps read miss rates and MADs, not exact AEF), each over
-/// `total_lines / shards` lines. The scheme dimension keeps the
-/// `engine_for` fast lanes: `"fs-feedback"` and `"unpartitioned"` are
-/// scheme-concrete (byte-lane victim selection folds to constants),
-/// baselines stay boxed.
+/// Build a [`ShardedEngine`] for a scale-out sweep cell: `shards` cores
+/// (16-way set-associative array, the bare coarse LRU of
+/// [`engine_for`]'s fast lane, `"coarse-lru-bare"`: the sharded sweeps
+/// read miss rates and MADs, not exact AEF), each over
+/// `total_lines / shards` lines. As in [`engine_for`], `"fs-feedback"`
+/// is one monomorphized core (byte-lane victim selection folds to
+/// constants) and every other scheme stays boxed.
 ///
 /// Per-shard array seeds derive from `seed` via
 /// [`seed_for`](cachesim::prng::seed_for) keyed by shard index, the
@@ -272,12 +265,6 @@ pub fn sharded_engine_for(
                 FsFeedback::new(FeedbackConfig::default()),
                 partitions,
             )) as Box<dyn Engine>,
-            "unpartitioned" => Box::new(EngineCore::new(
-                arr,
-                CoarseLru::without_exact_shadow(),
-                EvictMaxFutility,
-                partitions,
-            )),
             _ => Box::new(EngineCore::new(
                 Box::new(arr) as Box<dyn CacheArray>,
                 Box::new(CoarseLru::without_exact_shadow()) as Box<dyn FutilityRanking>,
@@ -364,21 +351,25 @@ mod tests {
     fn engine_for_matches_boxed_composition() {
         use cachesim::{AccessBlock, AccessMeta, PartitionId, PartitionedCache};
         let set_assoc = || SetAssociative::with_lines(256, 16, LineHash::new(9));
-        // One cell per scheme arm of the factory: boxed baseline,
-        // concrete fs-feedback and concrete unpartitioned (the latter
-        // two exercising the monomorphized byte lane where the ranking
-        // supports it). The coarse-lru cells are deliberately
-        // cross-configuration: `engine_for` hands them the bare tag map
-        // while the boxed reference keeps the exact shadow — identical
-        // tag arithmetic must yield identical outcomes. The `shadowed`
-        // cell builds the shadowed core directly.
+        // One cell per array arm, both ranking arms and both scheme
+        // lanes of the factory (concrete fs-feedback, boxed baselines
+        // including unpartitioned), plus one ranking that takes the
+        // fully boxed fallback. The coarse-lru cells are deliberately
+        // cross-configuration except on fully-assoc: `engine_for` hands
+        // them the bare tag map while the boxed reference keeps the
+        // exact shadow — identical tag arithmetic must yield identical
+        // outcomes. The `shadowed` cell builds the shadowed core
+        // directly.
         for (arr, rank, sch) in [
             ("set-assoc", "lru", "pf"),
-            ("zcache", "rrip", "fs-feedback"),
-            ("set-assoc", "rrip", "unpartitioned"),
+            ("zcache", "lru", "fs-feedback"),
+            ("set-assoc", "lru", "unpartitioned"),
             ("rand-cands", "coarse-lru", "fs-feedback"),
             ("set-assoc", "coarse-lru", "unpartitioned"),
             ("zcache", "coarse-lru", "prism"),
+            ("skew-assoc", "coarse-lru", "fs-feedback"),
+            ("fully-assoc", "coarse-lru", "fs-feedback"),
+            ("set-assoc", "lfu", "vantage"),
             ("set-assoc", "coarse-lru shadowed", "fs-feedback"),
         ] {
             let mut mono: Box<dyn Engine> = match rank {
@@ -392,8 +383,10 @@ mod tests {
             };
             let array: Box<dyn CacheArray> = match arr {
                 "set-assoc" => l2_array(256, 9),
-                "rand-cands" => Box::new(RandomCandidates::new(256, 16, 9)),
-                _ => Box::new(ZCache::new(64, 4, 16, 9)),
+                "skew-assoc" => Box::new(SkewAssociative::new(16, 16, 9)),
+                "zcache" => Box::new(ZCache::new(64, 4, 16, 9)),
+                "rand-cands" => random_array(256, 16, 9),
+                _ => fa_array(256),
             };
             // The boxed reference always keeps the exact shadow.
             let boxed_rank = rank.trim_end_matches(" shadowed");
@@ -424,6 +417,11 @@ mod tests {
                 boxed.state().actual,
                 "{arr}/{rank}/{sch}"
             );
+            // Where both sides run the same ranking configuration, the
+            // whole engine state must match byte for byte.
+            if mono.ranking().name() == boxed.ranking().name() {
+                assert!(mono.snapshot() == boxed.snapshot(), "{arr}/{rank}/{sch}");
+            }
         }
     }
 }

@@ -325,7 +325,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
     }
 
     /// Mutable access to the attached [`TimeSeriesRecorder`], if any
-    /// (e.g. to enable streaming spill or drain rows).
+    /// (e.g. to clear its retained samples).
     pub fn timeseries_mut(&mut self) -> Option<&mut TimeSeriesRecorder> {
         self.recorder.as_deref_mut()
     }
@@ -935,7 +935,7 @@ pub trait Engine: Send {
     /// The attached [`TimeSeriesRecorder`], if any.
     fn timeseries(&self) -> Option<&TimeSeriesRecorder>;
     /// Mutable access to the attached [`TimeSeriesRecorder`], if any
-    /// (e.g. to enable streaming spill or drain rows).
+    /// (e.g. to clear its retained samples).
     fn timeseries_mut(&mut self) -> Option<&mut TimeSeriesRecorder>;
 }
 

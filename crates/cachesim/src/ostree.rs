@@ -17,25 +17,6 @@
 
 const NIL: u32 = u32::MAX;
 
-/// One rank lookup in a [`OsTreap::rank_many`] batch.
-///
-/// `pool` and `tag` are caller-owned routing fields the treap ignores:
-/// the derived `Ord` sorts by `(pool, key, tag, rank)`, so a single
-/// `sort_unstable` over a mixed-pool batch both groups queries by pool
-/// and puts each group in the key order `rank_many` requires. `tag`
-/// typically indexes back into the caller's candidate array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RankQuery<K> {
-    /// Caller-side group id (sorted first; not interpreted here).
-    pub pool: u32,
-    /// The key whose rank is requested.
-    pub key: K,
-    /// Caller-side routing tag (e.g. candidate index).
-    pub tag: u32,
-    /// Output: number of stored keys strictly smaller than `key`.
-    pub rank: u32,
-}
-
 /// State of one resumable rank walk (see [`OsTreap::walk_step`]).
 ///
 /// Advancing a rank descent one level at a time lets a caller keep
@@ -330,44 +311,13 @@ impl<K: Ord + Clone> OsTreap<K> {
         }
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        let mut t = self.root;
-        while t != NIL {
-            let nd = self.node(t);
-            match key.cmp(&nd.key) {
-                std::cmp::Ordering::Less => t = nd.left,
-                std::cmp::Ordering::Greater => t = nd.right,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
     /// Number of stored keys strictly smaller than `key` (the key itself
-    /// need not be present).
+    /// need not be present): one [`walk_step`](Self::walk_step) walk run
+    /// to the end.
     pub fn rank(&self, key: &K) -> usize {
-        self.rank_walk(self.root, 0, key) as usize
-    }
-
-    /// Shared descent loop for scalar rank lookups, starting at subtree
-    /// `t` with `base` keys already known to be smaller.
-    ///
-    /// Written branch-free on the descent direction: the left-or-right
-    /// choice of a balanced search tree is data-dependent and
-    /// mispredicts roughly every other level, so both children are
-    /// selected by conditional moves instead. The left child's size is
-    /// loaded unconditionally — one extra predictable load beats a
-    /// pipeline flush per level.
-    #[inline]
-    fn rank_walk(&self, mut t: u32, mut acc: u32, key: &K) -> u32 {
-        while t != NIL {
-            let nd = self.node(t);
-            let smaller = nd.key < *key;
-            acc += if smaller { 1 + nd.left_size } else { 0 };
-            t = if smaller { nd.right } else { nd.left };
-        }
-        acc
+        let mut c = self.walk_start();
+        while self.walk_step(&mut c, key) {}
+        c.rank() as usize
     }
 
     /// Start a resumable rank walk from the root (see [`WalkCursor`]).
@@ -382,11 +332,17 @@ impl<K: Ord + Clone> OsTreap<K> {
     /// Advance a rank walk one level; returns `false` once the walk has
     /// fallen off the tree and [`WalkCursor::rank`] is final.
     ///
-    /// Same branch-free descent step as [`rank`](Self::rank), exposed
-    /// one level at a time so a caller can interleave several
+    /// Exposed one level at a time so a caller can interleave several
     /// independent walks (possibly over different treaps): each level
     /// costs one dependent node load, so `W` interleaved walks keep `W`
     /// loads in flight instead of serializing full descents.
+    ///
+    /// Written branch-free on the descent direction: the left-or-right
+    /// choice of a balanced search tree is data-dependent and
+    /// mispredicts roughly every other level, so both children are
+    /// selected by conditional moves instead. The left child's size is
+    /// loaded unconditionally — one extra predictable load beats a
+    /// pipeline flush per level.
     #[inline]
     pub fn walk_step(&self, c: &mut WalkCursor, key: &K) -> bool {
         if c.t == NIL {
@@ -397,58 +353,6 @@ impl<K: Ord + Clone> OsTreap<K> {
         c.acc += if smaller { 1 + nd.left_size } else { 0 };
         c.t = if smaller { nd.right } else { nd.left };
         true
-    }
-
-    /// Batched [`rank`](Self::rank): answer every query in one shared
-    /// descent instead of one root-to-leaf walk per key.
-    ///
-    /// Queries must be sorted by `key` within the slice (`pool`/`tag`
-    /// are ignored here — sort the whole [`RankQuery`] and pass each
-    /// pool's sub-slice). Each tree node is visited at most once per
-    /// contiguous query range, so a batch of `R` nearby keys costs
-    /// roughly one descent plus `O(R)` partitioning rather than `R`
-    /// full descents.
-    pub fn rank_many(&self, queries: &mut [RankQuery<K>]) {
-        debug_assert!(queries.windows(2).all(|w| w[0].key <= w[1].key));
-        if queries.is_empty() {
-            return;
-        }
-        self.rank_range(self.root, 0, queries);
-    }
-
-    fn rank_range(&self, mut t: u32, mut base: u32, mut queries: &mut [RankQuery<K>]) {
-        loop {
-            if let [q] = queries {
-                // Singleton: finish with the scalar walk — same tight
-                // loop as `rank`, resumed from the shared prefix.
-                q.rank = self.rank_walk(t, base, &q.key);
-                return;
-            }
-            if t == NIL {
-                for q in queries {
-                    q.rank = base;
-                }
-                return;
-            }
-            let nd = self.node(t);
-            let (left, right, left_size) = (nd.left, nd.right, nd.left_size);
-            // Queries with key <= node key have rank determined entirely
-            // by the left subtree (strictly-smaller count semantics: the
-            // node itself is not smaller than an equal key).
-            let split = queries.partition_point(|q| q.key <= nd.key);
-            let (lo, hi) = queries.split_at_mut(split);
-            if hi.is_empty() {
-                t = left;
-                queries = lo;
-                continue;
-            }
-            if !lo.is_empty() {
-                self.rank_range(left, base, lo);
-            }
-            t = right;
-            base += 1 + left_size;
-            queries = hi;
-        }
     }
 
     /// The key with exactly `rank` smaller keys (0-based), or `None` if
@@ -561,45 +465,6 @@ mod tests {
             t.insert((i, 0));
         }
         assert_eq!(t.nodes.len(), cap, "freed slots should be reused");
-    }
-
-    #[test]
-    fn rank_many_matches_scalar_rank() {
-        let mut t = OsTreap::new(9);
-        let mut x = 0x9E37_79B9u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..300 {
-            t.insert((rng() % 1000, rng() % 4));
-        }
-        // Query a mix of present and absent keys, including duplicates.
-        let mut queries: Vec<RankQuery<(u64, u64)>> = (0..64)
-            .map(|i| RankQuery {
-                pool: 0,
-                key: (rng() % 1100, rng() % 4),
-                tag: i,
-                rank: u32::MAX,
-            })
-            .collect();
-        queries.sort_unstable();
-        t.rank_many(&mut queries);
-        for q in &queries {
-            assert_eq!(
-                q.rank as usize,
-                t.rank(&q.key),
-                "batched rank mismatch for {:?}",
-                q.key
-            );
-        }
-        // Empty treap: every rank is 0.
-        let empty: OsTreap<(u64, u64)> = OsTreap::new(1);
-        let mut qs = queries.clone();
-        empty.rank_many(&mut qs);
-        assert!(qs.iter().all(|q| q.rank == 0));
     }
 
     /// Differential test against a sorted Vec reference model.

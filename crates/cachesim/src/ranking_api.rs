@@ -12,7 +12,7 @@
 
 use crate::fxmap::FxHashMap;
 use crate::ids::{AccessMeta, PartitionId, SlotId};
-use crate::ostree::{OsTreap, RankQuery};
+use crate::ostree::OsTreap;
 use crate::scheme_api::{Candidate, Probe};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -346,13 +346,13 @@ impl<T: FutilityRanking + ?Sized> FutilityRanking for Box<T> {
 }
 
 /// Minimal exact-LRU ranking built directly on [`OsTreap`]; used by doc
-/// examples and as a reference model in tests. The `ranking` crate's
-/// `ExactLru` is the full-featured equivalent.
+/// examples and as the reference model the differential tests compare
+/// against. It overrides none of the trait's batch hooks, so it runs
+/// the plain scalar path. The `ranking` crate's `ExactLru` is the
+/// fast equivalent.
 #[derive(Debug, Default)]
 pub struct NaiveLru {
     pools: Vec<Pool>,
-    scratch: Vec<RankQuery<(u64, u64)>>,
-    agg: HitRunAgg,
 }
 
 #[derive(Debug)]
@@ -410,23 +410,6 @@ impl FutilityRanking for NaiveLru {
         pool.by_time.insert((time, addr));
     }
 
-    fn on_hit_batch(&mut self, hits: &[HitRecord]) {
-        // The treap's observable state is a function of its key set, so
-        // only each line's final time matters: re-hit lines pay one
-        // remove + insert instead of one per hit.
-        if let Some(max) = hits.iter().map(|h| h.part.index()).max() {
-            self.pool_mut(PartitionId(max as u16));
-        }
-        let NaiveLru { pools, agg, .. } = self;
-        agg.for_each_line(hits, |h, _| {
-            let pool = &mut pools[h.part.index()];
-            if let Some(old) = pool.last.insert(h.addr, h.time) {
-                pool.by_time.remove(&(old, h.addr));
-            }
-            pool.by_time.insert((h.time, h.addr));
-        });
-    }
-
     fn on_evict(&mut self, part: PartitionId, addr: u64) {
         let pool = self.pool_mut(part);
         if let Some(old) = pool.last.remove(&addr) {
@@ -466,47 +449,6 @@ impl FutilityRanking for NaiveLru {
         // rank = number of lines touched longer ago than this one.
         let rank = pool.by_time.rank(&(time, addr));
         (m - rank) as f64 / m as f64
-    }
-
-    fn futility_batch(&mut self, cands: &mut [Candidate]) {
-        self.scratch.clear();
-        for (i, c) in cands.iter_mut().enumerate() {
-            let time = self
-                .pools
-                .get(c.part.index())
-                .and_then(|p| p.last.get(&c.addr).copied());
-            match time {
-                Some(t) => self.scratch.push(RankQuery {
-                    pool: c.part.index() as u32,
-                    key: (t, c.addr),
-                    tag: i as u32,
-                    rank: 0,
-                }),
-                None => c.futility = 0.0,
-            }
-        }
-        self.scratch.sort_unstable();
-        let mut s = 0;
-        while s < self.scratch.len() {
-            let pool_idx = self.scratch[s].pool as usize;
-            let mut e = s + 1;
-            while e < self.scratch.len() && self.scratch[e].pool as usize == pool_idx {
-                e += 1;
-            }
-            let by_time = &self.pools[pool_idx].by_time;
-            let m = by_time.len();
-            if m == 0 {
-                for q in &self.scratch[s..e] {
-                    cands[q.tag as usize].futility = 0.0;
-                }
-            } else {
-                by_time.rank_many(&mut self.scratch[s..e]);
-                for q in &self.scratch[s..e] {
-                    cands[q.tag as usize].futility = (m - q.rank as usize) as f64 / m as f64;
-                }
-            }
-            s = e;
-        }
     }
 
     fn futility_is_exact(&self) -> bool {
@@ -668,39 +610,6 @@ mod tests {
         let mut lines = Vec::new();
         agg.for_each_line(&hits, |h, n| lines.push((h.slot, n)));
         assert_eq!(lines, vec![(3, 3), (7, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn naive_lru_hit_batch_matches_scalar_replay() {
-        let mut scalar = NaiveLru::new();
-        let mut batched = NaiveLru::new();
-        scalar.reset(2);
-        batched.reset(2);
-        let mut hits = Vec::new();
-        for (slot, t) in [(0u32, 10u64), (1, 11), (0, 12), (2, 13), (0, 14)] {
-            let part = PartitionId((slot % 2) as u16);
-            let addr = 50 + slot as u64;
-            scalar.on_insert(part, addr, 1, AccessMeta::default());
-            batched.on_insert(part, addr, 1, AccessMeta::default());
-            hits.push(HitRecord {
-                part,
-                addr,
-                slot,
-                time: t,
-                meta: AccessMeta::default(),
-            });
-        }
-        for h in &hits {
-            scalar.on_hit(h.part, h.addr, h.time, h.meta);
-        }
-        batched.on_hit_batch(&hits);
-        for h in &hits {
-            assert_eq!(
-                scalar.futility(h.part, h.addr),
-                batched.futility(h.part, h.addr)
-            );
-        }
-        assert_eq!(scalar.max_futility_line(P), batched.max_futility_line(P));
     }
 
     #[test]

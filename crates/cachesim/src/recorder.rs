@@ -23,7 +23,6 @@ use crate::scheme_api::{PartitionScheme, PartitionState, Probe};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
 use std::collections::VecDeque;
-use std::io::{self, Write};
 use std::sync::Mutex;
 
 /// Everything the recorder may inspect on a tick: engine time, the
@@ -105,55 +104,6 @@ pub struct TimeSeriesRecorder {
     prev_generation: u64,
     /// Scratch buffer handed to `PartitionScheme::telemetry`.
     probes: Vec<Probe>,
-    /// Rows written to the streaming sink so far (counts across a
-    /// checkpoint/resume; the sink itself is reattached by the caller).
-    spilled: u64,
-    spill: Option<Spill>,
-}
-
-/// Streaming spill sink: ring overflow writes the oldest sample out as
-/// a CSV row instead of dropping it, so an arbitrarily long recording
-/// runs in bounded memory while producing output byte-identical to the
-/// unbounded in-memory path.
-struct Spill {
-    sink: Box<dyn Write + Send>,
-    /// First write error, deferred to [`TimeSeriesRecorder::finish_stream`]
-    /// (`record` ticks cannot surface it).
-    error: Option<io::Error>,
-}
-
-impl std::fmt::Debug for Spill {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Spill")
-            .field("error", &self.error)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Spill {
-    fn write_row(&mut self, sample: &Sample) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = write_sample_row(&mut self.sink, sample) {
-            self.error = Some(e);
-        }
-    }
-}
-
-/// One long-format CSV row, byte-identical to what
-/// [`TimeSeriesRecorder::rows`] plus a `join(",")`-per-row CSV writer
-/// produces for the same sample.
-fn write_sample_row(sink: &mut dyn Write, s: &Sample) -> io::Result<()> {
-    let part = s.part.map_or_else(|| "-".to_string(), |p| p.0.to_string());
-    writeln!(
-        sink,
-        "{},{},{},{}",
-        s.time,
-        s.series,
-        part,
-        fmt_value(s.value)
-    )
 }
 
 impl TimeSeriesRecorder {
@@ -173,8 +123,6 @@ impl TimeSeriesRecorder {
             prev: Vec::new(),
             prev_generation: 0,
             probes: Vec::new(),
-            spilled: 0,
-            spill: None,
         }
     }
 
@@ -232,63 +180,10 @@ impl TimeSeriesRecorder {
             .collect()
     }
 
-    /// Switch to bounded streaming mode: the CSV header is written to
-    /// `sink` immediately, and from then on every sample the ring would
-    /// drop is written out as a CSV row instead. Together with
-    /// [`finish_stream`](Self::finish_stream) the sink receives exactly
-    /// the bytes the in-memory path (an unbounded ring rendered through
-    /// [`rows`](Self::rows) and a CSV writer) would produce.
-    ///
-    /// # Errors
-    /// Propagates the header write failure.
-    pub fn stream_to(&mut self, mut sink: Box<dyn Write + Send>) -> io::Result<()> {
-        writeln!(sink, "{}", Self::CSV_HEADER.join(","))?;
-        self.spill = Some(Spill { sink, error: None });
-        Ok(())
-    }
-
-    /// Whether a streaming sink is attached.
-    pub fn is_streaming(&self) -> bool {
-        self.spill.is_some()
-    }
-
-    /// Rows already written to the streaming sink (0 when not
-    /// streaming).
-    pub fn spilled(&self) -> u64 {
-        self.spilled
-    }
-
-    /// End streaming mode: drain the retained ring to the sink (oldest
-    /// first), flush, and detach. The ring is left empty.
-    ///
-    /// # Errors
-    /// The first deferred overflow-write error, or the drain/flush
-    /// failure.
-    pub fn finish_stream(&mut self) -> io::Result<()> {
-        let mut spill = self
-            .spill
-            .take()
-            .ok_or_else(|| io::Error::other("finish_stream without stream_to"))?;
-        if let Some(e) = spill.error.take() {
-            return Err(e);
-        }
-        while let Some(sample) = self.samples.pop_front() {
-            write_sample_row(&mut spill.sink, &sample)?;
-            self.spilled += 1;
-        }
-        spill.sink.flush()
-    }
-
     fn push(&mut self, sample: Sample) {
         if self.samples.len() == self.capacity {
-            let oldest = self.samples.pop_front().expect("capacity > 0");
-            match &mut self.spill {
-                Some(spill) => {
-                    spill.write_row(&oldest);
-                    self.spilled += 1;
-                }
-                None => self.dropped += 1,
-            }
+            self.samples.pop_front();
+            self.dropped += 1;
         }
         self.samples.push_back(sample);
     }
@@ -400,7 +295,6 @@ impl TimeSeriesRecorder {
         w.u64(self.cadence);
         w.usize(self.capacity);
         w.u64(self.dropped);
-        w.u64(self.spilled);
         w.u64(self.prev_generation);
         w.usize(self.prev.len());
         for b in &self.prev {
@@ -437,7 +331,6 @@ impl TimeSeriesRecorder {
             )));
         }
         let dropped = r.u64()?;
-        let spilled = r.u64()?;
         let prev_generation = r.u64()?;
         let prev_len = r.seq_len(32)?;
         let mut prev = Vec::with_capacity(prev_len);
@@ -479,7 +372,6 @@ impl TimeSeriesRecorder {
         r.end()?;
         self.samples = samples;
         self.dropped = dropped;
-        self.spilled = spilled;
         self.prev = prev;
         self.prev_generation = prev_generation;
         Ok(())
@@ -713,58 +605,6 @@ mod tests {
             rec.rows(),
             unbounded.rows()[(total - cap as u64) as usize..]
         );
-    }
-
-    #[test]
-    fn streaming_output_is_byte_identical_to_in_memory_rows() {
-        use std::sync::{Arc, Mutex as StdMutex};
-
-        /// Shared in-memory sink standing in for a CSV file.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let scheme = EvictMaxFutility;
-        let mut state = PartitionState::new(2, 16);
-        state.targets = vec![9, 7];
-        let stats = CacheStats::new(2);
-
-        // Streaming arm: a tiny ring spilling to the sink.
-        let buf = SharedBuf::default();
-        let mut streaming = TimeSeriesRecorder::new(3, 5);
-        streaming.stream_to(Box::new(buf.clone())).unwrap();
-        // In-memory arm: a ring large enough to never drop.
-        let mut in_memory = TimeSeriesRecorder::new(3, 1_000_000);
-
-        for t in 1..=50 {
-            state.actual[0] = (t % 11) as usize;
-            state.actual[1] = (t % 7) as usize;
-            streaming.record(&ctx(t, &state, &stats, &scheme));
-            in_memory.record(&ctx(t, &state, &stats, &scheme));
-        }
-        streaming.finish_stream().unwrap();
-        assert!(streaming.is_empty(), "finish_stream drains the ring");
-        assert_eq!(streaming.dropped(), 0, "spilled samples are not drops");
-
-        let mut expected = Vec::new();
-        writeln!(expected, "{}", TimeSeriesRecorder::CSV_HEADER.join(",")).unwrap();
-        for row in in_memory.rows() {
-            writeln!(expected, "{}", row.join(",")).unwrap();
-        }
-        let got = buf.0.lock().unwrap().clone();
-        assert_eq!(
-            String::from_utf8(got).unwrap(),
-            String::from_utf8(expected).unwrap()
-        );
-        assert_eq!(streaming.spilled(), in_memory.len() as u64);
     }
 
     #[test]

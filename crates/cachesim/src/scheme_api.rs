@@ -3,7 +3,6 @@
 //! among the `R` replacement candidates while enforcing partition sizes.
 
 use crate::ids::PartitionId;
-use crate::ranking_api::FutilityRanking;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::SlotId;
 
@@ -439,12 +438,6 @@ impl PartitionScheme for EvictMaxFutility {
         // `argmax_futility`.
         crate::swar::argmax_u15(raw)
     }
-}
-
-/// Helper used by several schemes and the engine's fully-associative
-/// path: resolve the most futile line of `part` through the ranking.
-pub fn most_futile_line_of(ranking: &dyn FutilityRanking, part: PartitionId) -> Option<u64> {
-    ranking.max_futility_line(part)
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@ use std::fmt;
 /// Current snapshot format version. Bump on any layout change.
 ///
 /// Version 2 stores every rank pool canonically, as its sorted
-/// `(key, addr)` pairs, instead of a treap arena.
-pub const FORMAT_VERSION: u32 = 2;
+/// `(key, addr)` pairs, instead of a treap arena. Version 3 drops the
+/// recorder's spilled-row counter.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"FSSN";

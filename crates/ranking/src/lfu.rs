@@ -2,9 +2,8 @@
 //! frequency ("their access frequencies", §III-A), with LRU as the
 //! tiebreaker among equally-hot lines.
 
-use crate::pool::{batch_over_pools, check_disjoint, TreapPool};
+use crate::pool::{batch_over_pools, check_disjoint, RankQuery, TreapPool};
 use cachesim::fxmap::FxHashMap;
-use cachesim::ostree::RankQuery;
 use cachesim::snapshot::{read_u64_map, write_u64_map};
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, HitRunAgg, PartitionId, SnapshotError,
@@ -23,7 +22,7 @@ const MAX_COUNT: u64 = (1 << (64 - TIME_BITS)) - 1;
 pub struct Lfu {
     pools: Vec<TreapPool<false>>,
     counts: Vec<FxHashMap<u64, u64>>,
-    scratch: Vec<RankQuery<(u64, u64)>>,
+    scratch: Vec<RankQuery>,
     agg: HitRunAgg,
 }
 

@@ -5,8 +5,7 @@
 //! artifacts (Figures 2, 4–7) and to expose the performance headroom of
 //! high associativity (Figure 6a).
 
-use crate::pool::{batch_over_pools, load_pools, save_pools, TreapPool};
-use cachesim::ostree::RankQuery;
+use crate::pool::{batch_over_pools, load_pools, save_pools, RankQuery, TreapPool};
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, HitRunAgg, PartitionId, SnapshotError,
     SnapshotReader, SnapshotWriter,
@@ -19,7 +18,7 @@ use cachesim::{
 #[derive(Debug, Default)]
 pub struct Opt {
     pools: Vec<TreapPool<true>>,
-    scratch: Vec<RankQuery<(u64, u64)>>,
+    scratch: Vec<RankQuery>,
     agg: HitRunAgg,
 }
 

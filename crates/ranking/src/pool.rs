@@ -4,7 +4,7 @@
 //! rank-pool snapshot codec both use.
 
 use cachesim::fxmap::FxHashMap;
-use cachesim::ostree::{OsTreap, RankQuery};
+use cachesim::ostree::OsTreap;
 use cachesim::{Candidate, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One partition's worth of ranking state: an order-statistic treap over
@@ -231,6 +231,17 @@ pub(crate) fn load_pools<const HIGH_IS_FUTILE: bool>(
     r.end()
 }
 
+/// One rank lookup of [`batch_over_pools`]: the rank of `key` in pool
+/// `pool`'s treap, written back to candidate `tag`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RankQuery {
+    pool: u32,
+    key: (u64, u64),
+    tag: u32,
+    /// Output: number of stored keys strictly smaller than `key`.
+    rank: u32,
+}
+
 /// How many rank walks `batch_over_pools` keeps in flight at once.
 /// Covers a full 16-way candidate list in one round; the lane arrays
 /// live on the stack either way.
@@ -252,7 +263,7 @@ const LANES: usize = 16;
 /// allocates once it has warmed up.
 pub(crate) fn batch_over_pools<const HIGH_IS_FUTILE: bool>(
     pools: &[TreapPool<HIGH_IS_FUTILE>],
-    scratch: &mut Vec<RankQuery<(u64, u64)>>,
+    scratch: &mut Vec<RankQuery>,
     cands: &mut [Candidate],
 ) {
     scratch.clear();

@@ -6,9 +6,8 @@
 //! (AEF = 0.5), exactly the worst case the paper derives for PF with
 //! `N ≥ R` (Section III-C).
 
-use crate::pool::{batch_over_pools, check_disjoint, TreapPool};
+use crate::pool::{batch_over_pools, check_disjoint, RankQuery, TreapPool};
 use cachesim::hashing::{IndexHash, LineHash};
-use cachesim::ostree::RankQuery;
 use cachesim::{
     AccessMeta, Candidate, FutilityRanking, HitRecord, PartitionId, SnapshotError, SnapshotReader,
     SnapshotWriter,
@@ -20,7 +19,7 @@ pub struct RandomRanking {
     pools: Vec<TreapPool<true>>,
     hash: LineHash,
     seed: u64,
-    scratch: Vec<RankQuery<(u64, u64)>>,
+    scratch: Vec<RankQuery>,
 }
 
 impl RandomRanking {

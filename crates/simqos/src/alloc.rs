@@ -105,36 +105,26 @@ pub fn lru_miss_curve(trace: &Trace, capacities: &[usize]) -> Vec<f64> {
 /// thread's hit counts at multiples of `granularity` lines, assign
 /// `blocks` blocks of `granularity` lines to maximize total marginal
 /// hits. `hits[i][k]` is thread `i`'s hit count with `k` blocks
-/// (`hits[i][0] == 0` blocks). Returns per-thread block counts.
+/// (`hits[i][0] == 0` blocks). Returns per-thread block counts, which
+/// sum to `blocks` for finite curves.
+///
+/// This is [`ucp_allocate_bounded_into`] with unit weights and
+/// `0..=blocks` bounds.
 ///
 /// # Panics
 /// Panics if `hits` is empty or the curves are shorter than
 /// `blocks + 1` entries.
 pub fn ucp_allocate(hits: &[Vec<f64>], blocks: usize) -> Vec<usize> {
-    assert!(!hits.is_empty());
-    for h in hits {
-        assert!(
-            h.len() > blocks,
-            "each hit curve needs blocks+1 entries (got {} for {blocks} blocks)",
-            h.len()
-        );
-    }
     let n = hits.len();
-    let mut alloc = vec![0usize; n];
-    for _ in 0..blocks {
-        // Give the next block to the thread with the best marginal gain
-        // (first thread wins ties, for deterministic allocations).
-        let mut best = 0usize;
-        let mut best_gain = f64::NEG_INFINITY;
-        for i in 0..n {
-            let gain = hits[i][alloc[i] + 1] - hits[i][alloc[i]];
-            if gain > best_gain {
-                best_gain = gain;
-                best = i;
-            }
-        }
-        alloc[best] += 1;
-    }
+    let mut alloc = Vec::with_capacity(n);
+    ucp_allocate_bounded_into(
+        hits,
+        &vec![1.0; n],
+        &vec![0; n],
+        &vec![blocks; n],
+        blocks,
+        &mut alloc,
+    );
     alloc
 }
 
@@ -182,10 +172,9 @@ pub fn resample_umon_curve_into(
 /// from each thread's `min_blocks`, giving one block at a time to the
 /// thread with the best *priority-weighted* marginal hit gain
 /// (`weights[i] * (hits[i][k+1] - hits[i][k])`), never exceeding
-/// `max_blocks`. The plain [`ucp_allocate`] is the special case of
-/// unit weights and `0..=blocks` bounds. First thread wins ties, for
-/// deterministic allocations. Writes the per-thread block counts into
-/// `alloc_out` (cleared first; allocation-free once it has capacity).
+/// `max_blocks`. First thread wins ties, for deterministic allocations.
+/// Writes the per-thread block counts into `alloc_out` (cleared first;
+/// allocation-free once it has capacity).
 ///
 /// If every thread is capped before `blocks` are placed, the leftover
 /// blocks stay unassigned — the returned counts then sum to less than

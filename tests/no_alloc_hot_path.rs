@@ -165,8 +165,9 @@ fn warm_cache_access_never_allocates() {
 /// The batched pipeline must be as allocation-free as the scalar path
 /// once warm: the deferred hit-run buffer and the candidate scratch
 /// reach their high-water marks during warmup and are reused from then
-/// on. Checked on the monomorphized cores (`fs_bench::engine_for`), the
-/// same engines perfbench times.
+/// on. Checked on `fs_bench::engine_for`'s engines: monomorphized cores
+/// for `lru` and `coarse-lru` (the engines perfbench times), the boxed
+/// composition the figures run for every other ranking.
 #[test]
 fn warm_batched_access_never_allocates() {
     let _serial = serial();
@@ -227,7 +228,9 @@ fn warm_batched_access_never_allocates() {
 /// steady state. Cells are chosen to cover both byte-lane scratch
 /// buffers — the engine's raw-numerator vector (coarse-lru / rrip) and
 /// fs-feedback's shifted copy — alongside an exact ranking whose miss
-/// path stays on the f64 lane. `engine_for` runs `coarse-lru` bare on
+/// path stays on the f64 lane. The `coarse-lru` and `lru` cells run
+/// `engine_for`'s monomorphized cores; the `rrip` cells run the boxed
+/// composition the figures run. `engine_for` runs `coarse-lru` bare on
 /// this array, so the shadowed core, built directly, keeps the
 /// coarse LRU's exact shadow covered.
 #[test]

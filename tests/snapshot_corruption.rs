@@ -302,21 +302,26 @@ fn crafted_rank_pools_are_rejected_with_typed_errors() {
     }
 }
 
-/// Format version 1 stored treap arenas; this build reads only its own
-/// version and says which.
+/// Format version 1 stored treap arenas and version 2 a recorder
+/// spilled-row counter; this build reads only its own version and says
+/// which.
 #[test]
 fn version_one_snapshots_are_unsupported() {
     use cachesim::snapshot::FORMAT_VERSION;
     use cachesim::SnapshotError;
-    assert_eq!(FORMAT_VERSION, 2);
-    for combo in 0..6 {
-        let (mut cache, mut snap) = driven_snapshot(combo);
-        snap[4..8].copy_from_slice(&1u32.to_le_bytes());
-        match cache.restore(&snap) {
-            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (1, 2));
+    assert_eq!(FORMAT_VERSION, 3);
+    for old in [1u32, 2] {
+        for combo in 0..6 {
+            let (mut cache, mut snap) = driven_snapshot(combo);
+            snap[4..8].copy_from_slice(&old.to_le_bytes());
+            match cache.restore(&snap) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (old, 3));
+                }
+                other => panic!(
+                    "version {old}, combo {combo}: expected UnsupportedVersion, got {other:?}"
+                ),
             }
-            other => panic!("combo {combo}: expected UnsupportedVersion, got {other:?}"),
         }
     }
 }
