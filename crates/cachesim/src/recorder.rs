@@ -158,9 +158,6 @@ impl TimeSeriesRecorder {
         self.dropped = 0;
     }
 
-    /// CSV header matching [`rows`](Self::rows).
-    pub const CSV_HEADER: [&'static str; 4] = ["time", "series", "part", "value"];
-
     /// The retained samples as long-format CSV rows
     /// (`time,series,part,value`; `part` is `-` for global series).
     /// Formatting is locale-free and deterministic: integers print
