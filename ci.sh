@@ -4,6 +4,10 @@
 set -eu
 cd "$(dirname "$0")"
 
+# CI must leave the tree as it found it: the listing is compared with
+# a fresh one after the last step.
+TREE_BEFORE=$(git status --porcelain)
+
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
@@ -205,5 +209,16 @@ awk 'function field(s, key,   i, v) {
          if (n == 0 || seen != n) { print "TIMING GATE FAILED: " seen " of " n " baseline metrics reported"; exit 1 }
          if (bad) { print "TIMING GATE FAILED: " bad " metric(s) worse than the baseline by more than their bound"; exit 1 }
      }' BENCHMARK.json results/perfbench_baseline.txt "$CI_TMP/timing.txt" || timing_failed
+
+echo "== tree unchanged (git status --porcelain) =="
+TREE_AFTER=$(git status --porcelain)
+if [ "$TREE_AFTER" != "$TREE_BEFORE" ]; then
+    echo "TREE CHECK FAILED: the steps above changed the working tree"
+    echo "git status --porcelain before the first step:"
+    printf '%s\n' "$TREE_BEFORE"
+    echo "git status --porcelain after the last step:"
+    printf '%s\n' "$TREE_AFTER"
+    exit 1
+fi
 
 echo "CI OK"

@@ -5,7 +5,9 @@
 //! Implementations:
 //! * [`SetAssociative`] — conventional W-way set-associative array with
 //!   pluggable index hashing (R = W); covers the paper's 16-way hashed
-//!   L2 and, with `ways = 1`, the direct-mapped caches of Figure 6.
+//!   L2 and, with `ways = 1`, the direct-mapped caches of Figure 6. It
+//!   finds a line the way hardware does, by comparing the addresses of
+//!   one set, and keeps no address map.
 //! * [`RandomCandidates`] — the idealized array of Section IV whose R
 //!   candidates are drawn independently and uniformly from the whole
 //!   cache (the *uniformity assumption* holds by construction).
@@ -14,6 +16,11 @@
 //! * [`SkewAssociative`] — W ways with independent hash functions.
 //! * [`ZCache`] — zcache-style array: W ways, candidate expansion by
 //!   walking rehash positions, relocation on install (gives R > W).
+//!
+//! A line of the last four can sit in any of W independent positions,
+//! or anywhere, so they find it through the shared slot table's address
+//! map. Every array writes its slots as the same `"slots"` snapshot
+//! section.
 
 mod fully_assoc;
 mod random_cands;
@@ -220,11 +227,15 @@ impl<T: CacheArray + ?Sized> CacheArray for Box<T> {
     }
 }
 
-/// Shared slot-table helper used by the concrete arrays. The residency
-/// index is an [`FxHashMap`](crate::fxmap::FxHashMap) pre-sized for the
-/// slot count, so the warm hot path never grows it. (A hand-rolled
-/// open-addressing table was measured ~3x slower on the miss path's
-/// remove/insert churn — see the `fxmap` module docs.)
+/// Slot storage with an address map, shared by the arrays whose lines
+/// can sit in W independent positions or anywhere (skew-assoc, zcache,
+/// rand-cands, fully-assoc): no single set holds a line's possible
+/// slots, so a lookup goes through the map. The residency index is an
+/// [`FxHashMap`](crate::fxmap::FxHashMap) pre-sized for the slot count,
+/// so the warm hot path never grows it. (A hand-rolled open-addressing
+/// table was measured ~3x slower on the miss path's remove/insert churn
+/// — see the `fxmap` module docs.) [`SetAssociative`] keeps its own
+/// slots and compares one set's addresses instead.
 #[derive(Clone, Debug)]
 pub(crate) struct SlotTable {
     slots: Vec<Option<Occupant>>,
@@ -297,58 +308,30 @@ impl SlotTable {
     /// Serialize the slot contents. The residency map and occupancy
     /// counter are derived state and are rebuilt on load.
     pub(crate) fn save_state(&self, w: &mut SnapshotWriter) {
-        w.begin("slots");
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            match slot {
-                Some(occ) => {
-                    w.u8(1);
-                    w.u64(occ.addr);
-                    w.u16(occ.part.0);
-                }
-                None => w.u8(0),
-            }
-        }
-        w.end();
+        write_slots(w, self.slots.iter().copied());
     }
 
     /// Restore slot contents saved by [`save_state`](Self::save_state)
     /// into a table of the same size, rebuilding the residency map.
     pub(crate) fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        r.begin("slots")?;
-        let n = r.seq_len(1)?;
-        if n != self.slots.len() {
-            return Err(SnapshotError::mismatch(format!(
-                "slot table holds {} slots, snapshot has {n}",
-                self.slots.len()
-            )));
-        }
+        let n = self.slots.len();
         let mut slots: Vec<Option<Occupant>> = Vec::with_capacity(n);
         let mut map = crate::fxmap::FxHashMap::default();
         map.reserve(n);
         let mut occupied = 0usize;
-        for slot in 0..n {
-            match r.u8()? {
-                0 => slots.push(None),
-                1 => {
-                    let addr = r.u64()?;
-                    let part = PartitionId(r.u16()?);
-                    if map.insert(addr, slot as SlotId).is_some() {
-                        return Err(SnapshotError::corrupt(format!(
-                            "duplicate address {addr:#x} in slot table"
-                        )));
-                    }
-                    slots.push(Some(Occupant { addr, part }));
-                    occupied += 1;
-                }
-                tag => {
+        read_slots(r, n, |slot, occ| {
+            if let Some(occ) = occ {
+                if map.insert(occ.addr, slot).is_some() {
                     return Err(SnapshotError::corrupt(format!(
-                        "invalid slot occupancy tag {tag}"
-                    )))
+                        "duplicate address {:#x} in slot table",
+                        occ.addr
+                    )));
                 }
+                occupied += 1;
             }
-        }
-        r.end()?;
+            slots.push(occ);
+            Ok(())
+        })?;
         self.slots = slots;
         self.map = map;
         self.occupied = occupied;
@@ -364,6 +347,61 @@ impl SlotTable {
         self.map.insert(occ.addr, to);
         self.slots[to as usize] = Some(occ);
     }
+}
+
+/// Write the `"slots"` snapshot section every array uses: the slot
+/// count, then each slot in slot order as `0` (empty) or `1`, its line
+/// address and its partition.
+pub(crate) fn write_slots(
+    w: &mut SnapshotWriter,
+    slots: impl ExactSizeIterator<Item = Option<Occupant>>,
+) {
+    w.begin("slots");
+    w.usize(slots.len());
+    for slot in slots {
+        match slot {
+            Some(occ) => {
+                w.u8(1);
+                w.u64(occ.addr);
+                w.u16(occ.part.0);
+            }
+            None => w.u8(0),
+        }
+    }
+    w.end();
+}
+
+/// Read a `"slots"` section written by [`write_slots`] into an array of
+/// `n` slots, handing each slot's occupant to `visit` in slot order; an
+/// error from `visit` ends the read.
+pub(crate) fn read_slots(
+    r: &mut SnapshotReader,
+    n: usize,
+    mut visit: impl FnMut(SlotId, Option<Occupant>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    r.begin("slots")?;
+    let len = r.seq_len(1)?;
+    if len != n {
+        return Err(SnapshotError::mismatch(format!(
+            "array holds {n} slots, snapshot has {len}"
+        )));
+    }
+    for slot in 0..n {
+        let occ = match r.u8()? {
+            0 => None,
+            1 => Some(Occupant {
+                addr: r.u64()?,
+                part: PartitionId(r.u16()?),
+            }),
+            tag => {
+                return Err(SnapshotError::corrupt(format!(
+                    "invalid slot occupancy tag {tag}"
+                )))
+            }
+        };
+        visit(slot as SlotId, occ)?;
+    }
+    r.end()
 }
 
 /// Decode a free-slot list (u64 length + u32 entries) written next to a

@@ -1,6 +1,6 @@
 //! Conventional set-associative cache array with pluggable indexing.
 
-use super::{CacheArray, SlotTable};
+use super::{read_slots, write_slots, CacheArray};
 use crate::hashing::IndexHash;
 use crate::ids::{Occupant, PartitionId, SlotId};
 use crate::scheme_api::Candidate;
@@ -10,8 +10,20 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 ///
 /// With `ways = 1` this is a direct-mapped cache (one replacement
 /// candidate, the paper's worst-case baseline in Figure 6).
+///
+/// A lookup works like a tag match: it indexes the address's set and
+/// compares the set's line addresses, which sit side by side (a 16-way
+/// set's are 128 bytes). No address map exists, so evict, install and
+/// retag are plain slot writes. Every occupied slot holds an address of
+/// its own set, and no set holds an address twice; `load_state` rejects
+/// snapshots that break either.
 pub struct SetAssociative {
-    table: SlotTable,
+    /// Line address of each slot. An evicted slot keeps its last
+    /// address; `parts` says whether the slot holds it.
+    addrs: Vec<u64>,
+    /// Partition of each slot's line, `None` for an empty slot.
+    parts: Vec<Option<PartitionId>>,
+    occupied: usize,
     sets: usize,
     ways: usize,
     hash: Box<dyn IndexHash>,
@@ -26,7 +38,9 @@ impl SetAssociative {
     pub fn new<H: IndexHash + 'static>(sets: usize, ways: usize, hash: H) -> Self {
         assert!(sets > 0 && ways > 0, "sets and ways must be nonzero");
         SetAssociative {
-            table: SlotTable::new(sets * ways),
+            addrs: vec![0; sets * ways],
+            parts: vec![None; sets * ways],
+            occupied: 0,
             sets,
             ways,
             hash: Box::new(hash),
@@ -52,6 +66,19 @@ impl SetAssociative {
         (self.hash.hash(addr) % self.sets as u64) as usize
     }
 
+    /// The slot holding `addr`: compare the addresses of its set.
+    #[inline]
+    fn find(&self, addr: u64) -> Option<usize> {
+        let base = self.set_of(addr) * self.ways;
+        let addrs = &self.addrs[base..base + self.ways];
+        let parts = &self.parts[base..base + self.ways];
+        addrs
+            .iter()
+            .zip(parts)
+            .position(|(&a, part)| a == addr && part.is_some())
+            .map(|way| base + way)
+    }
+
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
@@ -69,7 +96,7 @@ impl CacheArray for SetAssociative {
     }
 
     fn num_slots(&self) -> usize {
-        self.table.len()
+        self.addrs.len()
     }
 
     fn candidates_per_eviction(&self) -> usize {
@@ -77,14 +104,15 @@ impl CacheArray for SetAssociative {
     }
 
     fn lookup(&self, addr: u64) -> Option<SlotId> {
-        // The map-based lookup is O(1); verify residency in debug builds.
-        let slot = self.table.lookup(addr)?;
-        debug_assert_eq!(slot as usize / self.ways, self.set_of(addr));
-        Some(slot)
+        self.find(addr).map(|slot| slot as SlotId)
     }
 
     fn occupant(&self, slot: SlotId) -> Option<Occupant> {
-        self.table.occupant(slot)
+        let slot = slot as usize;
+        self.parts[slot].map(|part| Occupant {
+            addr: self.addrs[slot],
+            part,
+        })
     }
 
     fn candidate_slots(&mut self, addr: u64, out: &mut Vec<SlotId>) {
@@ -94,60 +122,81 @@ impl CacheArray for SetAssociative {
     }
 
     fn fill_candidates(&mut self, addr: u64, out: &mut Vec<Candidate>) -> Option<SlotId> {
-        let set = self.set_of(addr);
-        let base = (set * self.ways) as SlotId;
-        for slot in base..base + self.ways as SlotId {
-            match self.table.occupant(slot) {
-                Some(occ) => out.push(Candidate {
-                    slot,
-                    addr: occ.addr,
-                    part: occ.part,
+        let base = self.set_of(addr) * self.ways;
+        for slot in base..base + self.ways {
+            match self.parts[slot] {
+                Some(part) => out.push(Candidate {
+                    slot: slot as SlotId,
+                    addr: self.addrs[slot],
+                    part,
                     futility: 0.0,
                 }),
-                None => return Some(slot),
+                None => return Some(slot as SlotId),
             }
         }
         None
     }
 
     fn lookup_occupant(&self, addr: u64) -> Option<(SlotId, Occupant)> {
-        self.table.lookup_occupant(addr)
+        let slot = self.find(addr)?;
+        let part = self.parts[slot]?;
+        Some((slot as SlotId, Occupant { addr, part }))
     }
 
     // `prefetch_lookup` deliberately keeps the no-op default. The
     // probed set is a pure function of the address, so prefetching the
-    // set's slot range ahead of the dependent occupant read is
-    // possible — but measured *slower* than not prefetching: computing
-    // the hint address repeats the index hash (a virtual `IndexHash`
-    // call plus a `% sets` division) per hint, which costs more than
-    // the latency it hides, because the out-of-order core already
-    // overlaps the independent lookups of neighbouring accesses.
+    // set's addresses ahead of the compare is possible — but it was
+    // measured *slower* than not prefetching when the lookup still went
+    // through an address map: the hint computes the index hash (a
+    // virtual `IndexHash` call plus a `% sets` division) that the probe
+    // then computes again, which costs more than the latency it hides,
+    // because the out-of-order core already overlaps the independent
+    // lookups of neighbouring accesses. The tag compare has not been
+    // measured with the hint.
 
     fn evict(&mut self, slot: SlotId) {
-        self.table.evict(slot);
+        self.parts[slot as usize]
+            .take()
+            .expect("evict from empty slot");
+        self.occupied -= 1;
     }
 
     fn install(&mut self, slot: SlotId, addr: u64, part: PartitionId) {
-        debug_assert_eq!(slot as usize / self.ways, self.set_of(addr));
-        self.table.install(slot, addr, part);
+        let slot = slot as usize;
+        debug_assert_eq!(slot / self.ways, self.set_of(addr));
+        debug_assert!(self.find(addr).is_none(), "{addr:#x} already resident");
+        assert!(
+            self.parts[slot].is_none(),
+            "install into occupied slot {slot}"
+        );
+        self.addrs[slot] = addr;
+        self.parts[slot] = Some(part);
+        self.occupied += 1;
     }
 
     fn retag(&mut self, slot: SlotId, part: PartitionId) {
-        self.table.retag(slot, part);
+        let held = self.parts[slot as usize]
+            .as_mut()
+            .expect("retag empty slot");
+        *held = part;
     }
 
     fn occupied(&self) -> usize {
-        self.table.occupied()
+        self.occupied
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.begin("set-assoc");
         w.usize(self.sets);
         w.usize(self.ways);
-        self.table.save_state(w);
+        write_slots(w, (0..self.addrs.len()).map(|s| self.occupant(s as SlotId)));
         w.end();
     }
 
+    /// Restore the slots, rejecting with `Corrupt` an occupied slot
+    /// whose address indexes another set, and an address held twice in
+    /// one set: lookups compare only the addresses of the address's own
+    /// set, so either would go unseen.
     fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
         r.begin("set-assoc")?;
         let (sets, ways) = (r.usize()?, r.usize()?);
@@ -157,8 +206,43 @@ impl CacheArray for SetAssociative {
                 self.sets, self.ways
             )));
         }
-        self.table.load_state(r)?;
-        r.end()
+        let n = self.addrs.len();
+        let mut addrs = vec![0u64; n];
+        let mut parts: Vec<Option<PartitionId>> = vec![None; n];
+        let mut occupied = 0usize;
+        read_slots(r, n, |slot, occ| {
+            let Some(occ) = occ else { return Ok(()) };
+            let (slot, set) = (slot as usize, slot as usize / self.ways);
+            let home = self.set_of(occ.addr);
+            if home != set {
+                return Err(SnapshotError::corrupt(format!(
+                    "slot {slot} of set {set} holds {:#x}, which indexes set {home}",
+                    occ.addr
+                )));
+            }
+            addrs[slot] = occ.addr;
+            parts[slot] = Some(occ.part);
+            occupied += 1;
+            Ok(())
+        })?;
+        let mut held = Vec::with_capacity(self.ways);
+        for set in 0..self.sets {
+            let ways = set * self.ways..(set + 1) * self.ways;
+            held.clear();
+            held.extend(ways.filter(|&s| parts[s].is_some()).map(|s| addrs[s]));
+            held.sort_unstable();
+            if let Some(pair) = held.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(SnapshotError::corrupt(format!(
+                    "set {set} holds {:#x} twice",
+                    pair[0]
+                )));
+            }
+        }
+        r.end()?;
+        self.addrs = addrs;
+        self.parts = parts;
+        self.occupied = occupied;
+        Ok(())
     }
 }
 

@@ -5,8 +5,10 @@
 //! construction) is ~5x cheaper and perfectly adequate for u64 line
 //! addresses. Not DoS-resistant — do not use for untrusted keys.
 //!
-//! The residency index deliberately stays `FxHashMap` (std's hashbrown
-//! with this hasher) rather than a hand-rolled open-addressing table:
+//! The residency index of the arrays that keep an address map (all but
+//! `SetAssociative`, which compares the addresses of one set instead)
+//! deliberately stays `FxHashMap` (std's hashbrown with this hasher)
+//! rather than a hand-rolled open-addressing table:
 //! a prototype `u64 → u32` table with linear probing + backward-shift
 //! deletion — and a second version with hashbrown-style control bytes —
 //! both measured ~3x slower than hashbrown on the miss-path churn mix

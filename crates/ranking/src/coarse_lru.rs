@@ -70,7 +70,11 @@ impl CoarseLru {
 
     /// Exact shadow ranks only for pools `0..k` (cheaper when only some
     /// partitions' associativity statistics are reported); the
-    /// remaining pools fall back to the coarse estimate.
+    /// remaining pools fall back to the coarse estimate. While some pool
+    /// lacks the shadow, the ranking reports the name
+    /// `"coarse-lru-partial-shadow"`, which [`crate::by_name`] does not
+    /// resolve (it cannot tell `k`); with `k` at least the pool count it
+    /// is `"coarse-lru"`.
     pub fn with_shadow_pools(k: usize) -> Self {
         CoarseLru {
             pools: Vec::new(),
@@ -126,6 +130,8 @@ impl FutilityRanking for CoarseLru {
     fn name(&self) -> &'static str {
         if self.shadow_limit == 0 {
             "coarse-lru-bare"
+        } else if self.shadow_limit < self.pools.len() {
+            "coarse-lru-partial-shadow"
         } else {
             "coarse-lru"
         }

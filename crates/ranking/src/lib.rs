@@ -179,6 +179,19 @@ mod tests {
             mixed_stream(twin.as_mut(), |_, _| {});
             assert!(snapshot_of(&*r) == snapshot_of(&*twin), "{name}");
         }
+        // A shadow on every pool is the full shadow, and rebuilds as one;
+        // a shadow on some pools only reports a name `by_name` rejects,
+        // since rebuilding it as either shadow would change its state.
+        let mut all_pools = CoarseLru::with_shadow_pools(POOLS);
+        let mut twin = by_name("coarse-lru").unwrap();
+        mixed_stream(&mut all_pools, |_, _| {});
+        mixed_stream(twin.as_mut(), |_, _| {});
+        assert_eq!(all_pools.name(), "coarse-lru");
+        assert!(snapshot_of(&all_pools) == snapshot_of(&*twin));
+        let mut partial = CoarseLru::with_shadow_pools(POOLS - 1);
+        partial.reset(POOLS);
+        assert_eq!(partial.name(), "coarse-lru-partial-shadow");
+        assert!(by_name(partial.name()).is_none());
     }
 
     /// The line `max_futility_line` returns is its pool's most futile,

@@ -9,7 +9,7 @@
 
 use cachesim::ostree::OsTreap;
 use futility_scaling::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use testkit::{check, int_range, set_of, tk_assert, tk_assert_eq, vec_of, CaseResult, Failure};
 
 /// The order-statistic treap agrees with a BTreeSet reference model
@@ -374,6 +374,166 @@ fn futility_batch_matches_scalar() {
         ),
         prop_futility_batch_matches_scalar,
     );
+}
+
+/// One step driving a set-associative array: `((op, addr), (pick,
+/// part))`. `pick` chooses among the slots of the address's set that
+/// the op applies to.
+type ArrayStep = ((u8, u64), (u8, u16));
+
+/// The tag-compare `SetAssociative` agrees with a model that keeps the
+/// slots and an address → slot map, as the arrays with an address map
+/// do, under random install / evict / retag sequences at 1, 4 and 16
+/// ways. Installs take any empty slot of the set, so an address often
+/// comes back beside a stale copy of itself in a slot it was evicted
+/// from. After every step `lookup_occupant`, `lookup`, `occupant`,
+/// `occupied` and the step address's candidates (order and first empty
+/// slot) match the model; a save → load into a fresh array mid-stream
+/// saves the same bytes and carries on in the fresh array.
+fn prop_set_assoc_matches_map_model(
+    (ways_idx, seed, steps): &(usize, u64, Vec<ArrayStep>),
+) -> CaseResult {
+    use cachesim::array::CacheArray;
+    use cachesim::hashing::IndexHash;
+    use cachesim::{Occupant, SlotId, SnapshotReader, SnapshotWriter};
+    const SETS: usize = 4;
+    let ways = [1, 4, 16][*ways_idx];
+    let universe = (SETS * ways * 2) as u64;
+    let hash = LineHash::new(*seed);
+    let build = || SetAssociative::new(SETS, ways, LineHash::new(*seed));
+    let mut array = build();
+    let mut model: Vec<Option<Occupant>> = vec![None; SETS * ways];
+    let mut map: HashMap<u64, usize> = HashMap::new();
+    for &((op, raw_addr), (pick, part)) in steps {
+        let addr = raw_addr % universe;
+        let part = PartitionId(part);
+        let set = (hash.hash(addr) % SETS as u64) as usize;
+        let set_slots = set * ways..(set + 1) * ways;
+        let held: Vec<usize> = set_slots.clone().filter(|&s| model[s].is_some()).collect();
+        let empty: Vec<usize> = set_slots.clone().filter(|&s| model[s].is_none()).collect();
+        match op % 8 {
+            0..=2 if !map.contains_key(&addr) && !empty.is_empty() => {
+                let slot = empty[pick as usize % empty.len()];
+                array.install(slot as SlotId, addr, part);
+                model[slot] = Some(Occupant { addr, part });
+                map.insert(addr, slot);
+            }
+            3 | 4 if !held.is_empty() => {
+                let slot = held[pick as usize % held.len()];
+                array.evict(slot as SlotId);
+                let occ = model[slot].take().expect("held slot");
+                map.remove(&occ.addr);
+            }
+            5 if !held.is_empty() => {
+                let slot = held[pick as usize % held.len()];
+                array.retag(slot as SlotId, part);
+                model[slot] = Some(Occupant {
+                    part,
+                    ..model[slot].expect("held slot")
+                });
+            }
+            6 => {
+                let mut w = SnapshotWriter::new();
+                array.save_state(&mut w);
+                let bytes = w.finish();
+                let mut fresh = build();
+                let mut r = SnapshotReader::open(&bytes)
+                    .map_err(|e| Failure::fail(format!("open: {e}")))?;
+                fresh
+                    .load_state(&mut r)
+                    .map_err(|e| Failure::fail(format!("own snapshot rejected: {e}")))?;
+                r.finish()
+                    .map_err(|e| Failure::fail(format!("trailing bytes: {e}")))?;
+                let mut w = SnapshotWriter::new();
+                fresh.save_state(&mut w);
+                tk_assert!(w.finish() == bytes, "reloaded array saves other bytes");
+                array = fresh;
+            }
+            _ => {}
+        }
+
+        let occupied = model.iter().filter(|o| o.is_some()).count();
+        tk_assert_eq!(array.occupied(), occupied);
+        for (slot, want) in model.iter().enumerate() {
+            let got = array.occupant(slot as SlotId);
+            tk_assert!(got == *want, "slot {slot}: {got:?} != {want:?}");
+        }
+        for a in 0..universe {
+            let want = map
+                .get(&a)
+                .map(|&slot| (slot as SlotId, model[slot].expect("mapped slot")));
+            let got = array.lookup_occupant(a);
+            tk_assert!(got == want, "address {a}: {got:?} != {want:?}");
+            tk_assert_eq!(array.lookup(a), want.map(|(slot, _)| slot));
+        }
+        let mut slots = Vec::new();
+        array.candidate_slots(addr, &mut slots);
+        let want_slots: Vec<SlotId> = set_slots.clone().map(|s| s as SlotId).collect();
+        tk_assert_eq!(slots, want_slots);
+        let mut cands = Vec::new();
+        let first_empty = array.fill_candidates(addr, &mut cands);
+        match set_slots.clone().find(|&s| model[s].is_none()) {
+            Some(slot) => tk_assert_eq!(first_empty, Some(slot as SlotId)),
+            None => {
+                tk_assert_eq!(first_empty, None);
+                let got: Vec<(SlotId, Occupant)> = cands
+                    .iter()
+                    .map(|c| {
+                        let occ = Occupant {
+                            addr: c.addr,
+                            part: c.part,
+                        };
+                        (c.slot, occ)
+                    })
+                    .collect();
+                let want: Vec<(SlotId, Occupant)> = set_slots
+                    .clone()
+                    .map(|s| (s as SlotId, model[s].expect("full set")))
+                    .collect();
+                tk_assert_eq!(got, want);
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn set_assoc_matches_map_model() {
+    check(
+        "set_assoc_matches_map_model",
+        &(
+            int_range(0usize..3),
+            int_range(0u64..1_000),
+            vec_of(
+                (
+                    (int_range(0u8..8), int_range(0u64..1 << 20)),
+                    (int_range(0u8..16), int_range(0u16..4)),
+                ),
+                1..200,
+            ),
+        ),
+        prop_set_assoc_matches_map_model,
+    );
+}
+
+/// Pinned: an address evicted from one slot and re-installed into
+/// another slot of its set leaves a stale copy behind; lookups must
+/// find only the live one, across a snapshot, at 4 ways and direct
+/// mapped (where the re-install reuses the stale slot).
+#[test]
+fn set_assoc_reinstall_beside_stale_copy() {
+    for ways_idx in [0, 1] {
+        let steps = vec![
+            ((0, 7), (0, 0)), // install 7 into the set's first empty slot
+            ((3, 7), (0, 0)), // evict it: the slot keeps 7 as a stale copy
+            ((0, 7), (1, 1)), // install 7 again: the second empty slot
+            ((5, 7), (0, 2)), // retag the live copy
+            ((6, 7), (0, 0)), // save -> load into a fresh array
+            ((3, 7), (0, 0)), // evict the live copy
+            ((7, 7), (0, 0)), // lookups only
+        ];
+        assert_case_holds(prop_set_assoc_matches_map_model(&(ways_idx, 0, steps)));
+    }
 }
 
 /// A pinned case passes if the property holds or the case is rejected

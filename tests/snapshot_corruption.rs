@@ -325,3 +325,90 @@ fn version_one_snapshots_are_unsupported() {
         }
     }
 }
+
+/// Occupied slots as (slot, address, partition).
+type Lines = Vec<(usize, u64, u16)>;
+
+/// A `"set-assoc"` section for an 8 × 2 array holding `slots`, every
+/// other slot empty.
+fn crafted_set_assoc(slots: &[(usize, u64, u16)]) -> Vec<u8> {
+    use cachesim::SnapshotWriter;
+    let mut w = SnapshotWriter::new();
+    w.begin("set-assoc");
+    w.usize(8);
+    w.usize(2);
+    w.begin("slots");
+    w.usize(16);
+    for slot in 0..16 {
+        match slots.iter().find(|&&(s, _, _)| s == slot) {
+            Some(&(_, addr, part)) => {
+                w.u8(1);
+                w.u64(addr);
+                w.u16(part);
+            }
+            None => w.u8(0),
+        }
+    }
+    w.end();
+    w.end();
+    w.finish()
+}
+
+/// A set-associative array finds a line by comparing the addresses of
+/// the line's own set, so a correctly checksummed section with a line
+/// in another set's slot, or one address twice in a set, fails with
+/// `Corrupt` instead of loading lines no lookup finds. A valid section
+/// loads and saves back unchanged; the same address in an occupied and
+/// an emptied slot is not a repeat.
+#[test]
+fn crafted_set_assoc_slots_are_rejected_with_typed_errors() {
+    use cachesim::array::CacheArray;
+    use cachesim::{SnapshotError, SnapshotReader, SnapshotWriter};
+    // Modulo indexing over 8 sets: address a belongs to set a % 8,
+    // whose slots are 2(a % 8) and 2(a % 8) + 1.
+    let bad: [(&str, Lines); 3] = [
+        ("address of set 1 in a slot of set 0", vec![(0, 9, 0)]),
+        (
+            "address of set 3 in a slot of set 4",
+            vec![(6, 3, 0), (9, 11, 1)],
+        ),
+        ("one address twice in set 2", vec![(4, 10, 0), (5, 10, 1)]),
+    ];
+    for (what, slots) in &bad {
+        let bytes = crafted_set_assoc(slots);
+        let mut array = SetAssociative::new(8, 2, ModuloIndex);
+        let mut reader = SnapshotReader::open(&bytes).unwrap();
+        match array.load_state(&mut reader) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+    let good = crafted_set_assoc(&[(0, 8, 0), (1, 16, 1), (5, 10, 2), (15, 7, 3)]);
+    let mut array = SetAssociative::new(8, 2, ModuloIndex);
+    let mut reader = SnapshotReader::open(&good).unwrap();
+    array.load_state(&mut reader).unwrap();
+    reader.finish().unwrap();
+    assert_eq!(array.occupied(), 4);
+    assert_eq!(array.lookup(16), Some(1));
+    assert_eq!(array.lookup(7), Some(15));
+    assert_eq!(array.lookup(9), None);
+    let mut w = SnapshotWriter::new();
+    array.save_state(&mut w);
+    assert_eq!(w.finish(), good, "a valid section must save back unchanged");
+    // Evict 10 from slot 5 (its address stays there, unoccupied) and
+    // install 10 into slot 4: the section now holds 10 once.
+    array.evict(5);
+    array.install(4, 10, PartitionId(2));
+    let mut w = SnapshotWriter::new();
+    array.save_state(&mut w);
+    let moved = w.finish();
+    assert_eq!(
+        moved,
+        crafted_set_assoc(&[(0, 8, 0), (1, 16, 1), (4, 10, 2), (15, 7, 3)])
+    );
+    let mut fresh = SetAssociative::new(8, 2, ModuloIndex);
+    fresh
+        .load_state(&mut SnapshotReader::open(&moved).unwrap())
+        .unwrap();
+    assert_eq!(fresh.lookup(10), Some(4));
+}
