@@ -28,18 +28,17 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== unsafe-adjacent structure checks (miri or debug-assertions) =="
 # The arena-backed treaps (ostree) use unchecked indexing in release,
-# the fxmap hasher feeds every hot map, the swar bit-twiddled argmax
-# drives byte-lane victim selection, and the recency index (ranking
+# the fxmap hasher feeds every hot map, and the recency index (ranking
 # crate: stamp bitmaps, Fenwick trees, in-place compaction) renumbers
 # stamps in place; run their unit tests under Miri when the component
 # exists, otherwise under an optimized build with debug assertions re-enabled
 # so the debug_assert! bounds and invariant checks fire in
 # release-equivalent codegen.
 if cargo miri --version >/dev/null 2>&1; then
-    cargo miri test -q -p cachesim -p ranking -- ostree:: fxmap:: swar:: recency::
+    cargo miri test -q -p cachesim -p ranking -- ostree:: fxmap:: recency::
 else
     RUSTFLAGS="${RUSTFLAGS:-} -C debug-assertions=on" \
-        cargo test -q --release --offline -p cachesim -p ranking -- ostree:: fxmap:: swar:: recency::
+        cargo test -q --release --offline -p cachesim -p ranking -- ostree:: fxmap:: recency::
 fi
 
 # The smoke bins write results/ relative to the working directory, and
@@ -131,8 +130,9 @@ perfbench() {
 
 echo "== perfbench work gate (--smoke, exact) =="
 # The work each layer does per access, from perfbench's traced smoke
-# run: every `.calls` count, candidates per miss, the byte-lane share,
-# retags per miss, shard imbalance, and the simulated miss ratio and
+# run: every `.calls` count, candidates per miss, the byte-lane share
+# (0 since the engine's byte lane was retired; perfbench still reports
+# it), retags per miss, shard imbalance, and the simulated miss ratio and
 # size MAD, for each workload. They are counts over fixed work, so they
 # repeat exactly and are gated on equality, with no noise band. A
 # change that moves work re-pins results/perfbench_work.txt on purpose

@@ -147,10 +147,9 @@ pub fn futility_ranking(name: &str) -> Box<dyn FutilityRanking> {
 /// cells run, `"lru"` and `"coarse-lru"`, are monomorphized over each
 /// array: 20 concrete [`EngineCore`]s behind one object-safe
 /// [`Engine`]. The scheme dimension is devirtualized for
-/// `"fs-feedback"`, whose byte-lane capability checks and
-/// `notify_insert`/`notify_evict` hooks then inline to constants on the
-/// batched miss path; every other scheme stays a trait object
-/// (DESIGN.md §10).
+/// `"fs-feedback"`, whose victim scan and `notify_insert`/`notify_evict`
+/// hooks then inline into the batched miss path; every other scheme
+/// stays a trait object (DESIGN.md §10).
 ///
 /// `"coarse-lru"` is one coarse LRU with an optional exact shadow. It
 /// runs bare ([`CoarseLru::without_exact_shadow`], reporting the name
@@ -230,8 +229,8 @@ pub fn engine_for(
 /// [`engine_for`]'s fast lane, `"coarse-lru-bare"`: the sharded sweeps
 /// read miss rates and MADs, not exact AEF), each over
 /// `total_lines / shards` lines. As in [`engine_for`], `"fs-feedback"`
-/// is one monomorphized core (byte-lane victim selection folds to
-/// constants) and every other scheme stays boxed.
+/// is one monomorphized core (its victim scan inlines into the miss
+/// path) and every other scheme stays boxed.
 ///
 /// Per-shard array seeds derive from `seed` via
 /// [`seed_for`](cachesim::prng::seed_for) keyed by shard index, the

@@ -110,21 +110,16 @@ pub trait CacheArray: Send {
     }
 
     /// Hint that [`lookup_occupant`](Self::lookup_occupant) for `addr`
-    /// is coming soon: prefetch index memory the probe will touch.
-    /// Purely a performance hint — implementations must not change
-    /// observable state — used by the engine's batched pipeline to
-    /// overlap the hit path's dependent loads across a block of
-    /// accesses. The default does nothing; an array overriding it must
-    /// also override [`wants_lookup_prefetch`](Self::wants_lookup_prefetch)
-    /// to return `true`, or the engine never calls it.
+    /// is coming soon. Purely a performance hint that must not change
+    /// observable state. No array overrides this no-op default and
+    /// nothing in the workspace calls it; it remains only because
+    /// perfbench's `Timed` wrapper forwards it.
     fn prefetch_lookup(&self, _addr: u64) {}
 
     /// Whether [`prefetch_lookup`](Self::prefetch_lookup) does anything
-    /// useful for this array. The engine's batched pipeline checks this
-    /// once per batch and skips the hint cursor entirely when `false` —
-    /// measured on the hit-heavy grid cells, even a no-op hint loop
-    /// costs ~35% throughput, so the hints must be opt-in. Must be
-    /// constant for the lifetime of the array.
+    /// for this array. No array overrides it and nothing in the
+    /// workspace calls it; it remains only because perfbench's `Timed`
+    /// wrapper forwards it.
     fn wants_lookup_prefetch(&self) -> bool {
         false
     }
@@ -169,10 +164,11 @@ pub trait CacheArray: Send {
     fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError>;
 }
 
-/// Boxed arrays forward every method (including overridden defaults),
-/// so a generic [`EngineCore`](crate::engine::EngineCore) instantiated
-/// with `Box<dyn CacheArray>` behaves exactly like one instantiated
-/// with the concrete array.
+/// Boxed arrays forward every method the engine calls (including
+/// overridden defaults), so a generic
+/// [`EngineCore`](crate::engine::EngineCore) instantiated with
+/// `Box<dyn CacheArray>` behaves exactly like one instantiated with the
+/// concrete array.
 impl<T: CacheArray + ?Sized> CacheArray for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -197,12 +193,6 @@ impl<T: CacheArray + ?Sized> CacheArray for Box<T> {
     }
     fn lookup_occupant(&self, addr: u64) -> Option<(SlotId, Occupant)> {
         (**self).lookup_occupant(addr)
-    }
-    fn prefetch_lookup(&self, addr: u64) {
-        (**self).prefetch_lookup(addr)
-    }
-    fn wants_lookup_prefetch(&self) -> bool {
-        (**self).wants_lookup_prefetch()
     }
     fn evict(&mut self, slot: SlotId) {
         (**self).evict(slot)

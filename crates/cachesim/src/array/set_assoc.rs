@@ -153,16 +153,15 @@ impl CacheArray for SetAssociative {
         Some((slot as SlotId, Occupant { addr, part }))
     }
 
-    // `prefetch_lookup` deliberately keeps the no-op default. The
-    // probed set is a pure function of the address, so prefetching the
-    // set's addresses ahead of the compare is possible — but it was
-    // measured *slower* than not prefetching when the lookup still went
-    // through an address map: the hint computes the index hash (a
-    // virtual `IndexHash` call plus a `% sets` division) that the probe
-    // then computes again, which costs more than the latency it hides,
-    // because the out-of-order core already overlaps the independent
-    // lookups of neighbouring accesses. The tag compare has not been
-    // measured with the hint.
+    // No lookup prefetch. The probed set is a pure function of the
+    // address, so prefetching the set's addresses ahead of the compare
+    // is possible — but it was measured *slower* than not prefetching
+    // when the lookup still went through an address map: the hint
+    // computes the index hash (a virtual `IndexHash` call plus a
+    // `% sets` division) that the probe then computes again, which
+    // costs more than the latency it hides, because the out-of-order
+    // core already overlaps the independent lookups of neighbouring
+    // accesses. The tag compare has not been measured with a prefetch.
 
     fn evict(&mut self, slot: SlotId) {
         self.parts[slot as usize]

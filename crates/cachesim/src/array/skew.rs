@@ -15,7 +15,7 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub struct SkewAssociative {
     table: SlotTable,
     sets: usize,
-    hashes: Vec<Box<dyn IndexHash>>,
+    hashes: Vec<LineHash>,
 }
 
 impl SkewAssociative {
@@ -26,8 +26,8 @@ impl SkewAssociative {
     /// Panics if `sets == 0` or `ways == 0`.
     pub fn new(sets: usize, ways: usize, seed: u64) -> Self {
         assert!(sets > 0 && ways > 0);
-        let hashes: Vec<Box<dyn IndexHash>> = (0..ways)
-            .map(|w| Box::new(LineHash::new(seed ^ (w as u64 + 1).wrapping_mul(0xD1B5))) as _)
+        let hashes = (0..ways)
+            .map(|w| LineHash::new(seed ^ (w as u64 + 1).wrapping_mul(0xD1B5)))
             .collect();
         SkewAssociative {
             table: SlotTable::new(sets * ways),

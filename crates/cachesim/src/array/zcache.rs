@@ -28,7 +28,7 @@ pub struct ZCache {
     table: SlotTable,
     sets: usize,
     r: usize,
-    hashes: Vec<Box<dyn IndexHash>>,
+    hashes: Vec<LineHash>,
     walk: Vec<WalkNode>,
 }
 
@@ -40,8 +40,8 @@ impl ZCache {
     /// Panics if `sets == 0`, `ways < 2` or `r < ways`.
     pub fn new(sets: usize, ways: usize, r: usize, seed: u64) -> Self {
         assert!(sets > 0 && ways >= 2 && r >= ways);
-        let hashes: Vec<Box<dyn IndexHash>> = (0..ways)
-            .map(|w| Box::new(LineHash::new(seed ^ (w as u64 + 1).wrapping_mul(0xA2C9))) as _)
+        let hashes = (0..ways)
+            .map(|w| LineHash::new(seed ^ (w as u64 + 1).wrapping_mul(0xA2C9)))
             .collect();
         ZCache {
             table: SlotTable::new(sets * ways),

@@ -15,19 +15,12 @@
 //! runs of consecutive hits through one bulk
 //! [`on_hit_batch`](crate::ranking_api::FutilityRanking::on_hit_batch)
 //! ranking call, which treap-backed rankings deduplicate per line.
-//! Replacement itself takes the byte lane where the composition
-//! supports it: hardware-futility rankings
-//! ([`futility_bytes`](crate::ranking_api::FutilityRanking::futility_bytes))
-//! hand raw `u8`-range numerators to byte-capable schemes
-//! ([`victim_from_bytes`](crate::scheme_api::PartitionScheme::victim_from_bytes)),
-//! which pick the victim with a SWAR argmax ([`crate::swar`]) instead
-//! of materializing `f64` futilities. For arrays that opt in
-//! (`CacheArray::wants_lookup_prefetch`), the pipeline also keeps the
-//! index lookups of up to 16 upcoming accesses prefetched ahead of the
-//! dependent probes (mirroring `OsTreap`'s interleaved rank walks); no
-//! current array does — see the measurement note in
-//! `array/set_assoc.rs`. The two entry points are bit-for-bit
-//! equivalent.
+//! A miss on a candidate array has one replacement path: the ranking
+//! fills every candidate's `f64` futility
+//! ([`futility_batch`](crate::ranking_api::FutilityRanking::futility_batch))
+//! and the scheme picks the victim from them
+//! ([`victim_into`](crate::scheme_api::PartitionScheme::victim_into)).
+//! The two entry points are bit-for-bit equivalent.
 
 use crate::array::CacheArray;
 use crate::ids::{AccessMeta, PartitionId, SlotId};
@@ -146,12 +139,6 @@ impl AccessBlock {
     }
 }
 
-/// How many accesses ahead the batched pipeline issues
-/// [`CacheArray::prefetch_lookup`] hints. Matches `OsTreap`'s
-/// interleaved walk width: enough in-flight loads to cover memory
-/// latency, few enough to not thrash L1.
-const LOOKAHEAD: usize = 16;
-
 /// A partitioned shared cache: array + futility ranking + scheme,
 /// monomorphized over the three component types.
 ///
@@ -196,8 +183,6 @@ pub struct EngineCore<A, R, S> {
     time: u64,
     partitions: usize,
     cands: Vec<Candidate>,
-    /// Byte-lane scratch: raw futility numerators, one per candidate.
-    fut_raw: Vec<u16>,
     decision: VictimDecision,
     /// Deferred consecutive-hit run of the batched pipeline, flushed
     /// into one `on_hit_batch` ranking call at run boundaries.
@@ -249,7 +234,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             time: 0,
             partitions,
             cands: Vec::with_capacity(64),
-            fut_raw: Vec::with_capacity(64),
             decision: VictimDecision::default(),
             hit_run: Vec::new(),
             recorder: None,
@@ -344,10 +328,7 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
     /// calling [`access`](Self::access) per element — same outcomes,
     /// statistics, component state and recorder samples — but runs of
     /// consecutive hits are applied through one bulk ranking call that
-    /// treap-backed rankings collapse to one update per distinct line,
-    /// and arrays that opt into lookup prefetching get the index lines
-    /// of up to 16 upcoming accesses hinted ahead of the dependent
-    /// lookups.
+    /// treap-backed rankings collapse to one update per distinct line.
     pub fn access_batch(&mut self, block: &AccessBlock) -> u64 {
         self.batch_impl::<false>(block, &mut Vec::new())
     }
@@ -386,29 +367,11 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             return hits;
         }
         let mut hits = 0u64;
-        let mut pf = 0usize;
         // Rankings that ignore hits (stable random ranks) skip the
         // record collection entirely; the deferred-run machinery then
-        // costs nothing on the hit path. Likewise the hint cursor only
-        // runs for arrays that can compute probe addresses up front —
-        // even a no-op hint loop measurably slows the hit path, so
-        // both hooks are opt-in, checked once per batch.
+        // costs nothing on the hit path. Checked once per batch.
         let collect_hits = self.ranking.wants_hit_records();
-        let prefetch = self.array.wants_lookup_prefetch();
         for i in 0..n {
-            // Keep up to LOOKAHEAD lookup hints in flight. The hint is
-            // issued before the dependent lookup chain below, so by the
-            // time access `i + LOOKAHEAD` is processed the index lines
-            // its probe touches are (usually) already in cache. Misses
-            // mutate the index and may invalidate a hinted line; that
-            // only costs the hint.
-            if prefetch {
-                let pf_to = (i + LOOKAHEAD).min(n);
-                while pf < pf_to {
-                    self.array.prefetch_lookup(addrs[pf]);
-                    pf += 1;
-                }
-            }
             let (part, addr, meta) = (parts[i], addrs[i], metas[i]);
             debug_assert!(part.index() < self.partitions, "foreign pool access");
             self.time += 1;
@@ -499,7 +462,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             state: &self.state,
             stats: &self.stats,
             scheme: &self.scheme,
-            ranking: &self.ranking,
         });
     }
 
@@ -542,38 +504,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
             return AccessOutcome::Miss { evicted: None };
         }
         debug_assert!(!self.cands.is_empty(), "array returned no candidates");
-
-        // Byte lane: when the ranking exposes raw hardware-futility
-        // numerators and the scheme can pick victims from them, the
-        // whole f64 futility materialization and the scalar victim scan
-        // collapse into one integer SWAR argmax. Bit-exact (same victim
-        // index, including ties) by the `futility_bytes` /
-        // `victim_from_bytes` contracts; byte-capable schemes never
-        // retag, so the retag loop is skipped whole. Both capability
-        // checks are constants after monomorphization.
-        if self.scheme.wants_futility_bytes()
-            && self.ranking.futility_bytes(&self.cands, &mut self.fut_raw)
-        {
-            debug_assert_eq!(self.fut_raw.len(), self.cands.len());
-            let v = self
-                .scheme
-                .victim_from_bytes(part, &self.cands, &self.fut_raw, &self.state);
-            debug_assert!(v < self.cands.len());
-            let victim = self.cands[v];
-            // Byte-lane rankings are approximate (their futility is the
-            // hardware estimate), so eviction stats take the shadow
-            // rank, exactly as the scalar path below does.
-            let futility = self.ranking.true_futility(victim.part, victim.addr);
-            self.evict(victim.slot, victim.part, victim.addr, futility);
-            self.install(victim.slot, dest_pool, addr, meta);
-            return AccessOutcome::Miss {
-                evicted: Some(Eviction {
-                    addr: victim.addr,
-                    part: victim.part,
-                    futility,
-                }),
-            };
-        }
 
         self.ranking.futility_batch(&mut self.cands);
 
@@ -885,7 +815,6 @@ impl<A: CacheArray, R: FutilityRanking, S: PartitionScheme> EngineCore<A, R, S> 
         // it so a restore into a mid-lifetime engine leaves nothing
         // stale behind.
         self.cands.clear();
-        self.fut_raw.clear();
         self.hit_run.clear();
         self.decision = VictimDecision::default();
         Ok(())

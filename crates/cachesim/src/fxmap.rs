@@ -15,8 +15,8 @@
 //! (missed get + remove + insert), because backward-shift deletion
 //! re-touches a chain of random bucket lines per delete while
 //! hashbrown's tombstone writes touch one. Explicit software prefetch
-//! of the probed slot range fared no better — see the note on
-//! `prefetch_lookup` in `array/set_assoc.rs` for that negative result.
+//! of the probed slot range fared no better — see the lookup-prefetch
+//! note in `array/set_assoc.rs` for that negative result.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -5,12 +5,11 @@
 //! analytical framework; the evaluated system uses "an XOR-based
 //! indexing" and cites H3 hashing for set-associative arrays.
 //!
-//! [`LineHash`] is the strong mixer used by default (a seeded
+//! [`LineHash`] is the mixer every hashed array uses (a seeded
 //! splitmix64-style finalizer, statistically indistinguishable from a
-//! random function for this purpose); [`H3Hash`] is a faithful H3
-//! universal hash (one random row per input bit, output = XOR of selected
-//! rows); [`XorFold`] is the cheap XOR-folding index traditionally used
-//! in hardware.
+//! random function for this purpose); [`ModuloIndex`] is the un-hashed
+//! indexing of a conventional cache, which Figure 6's direct-mapped
+//! array uses.
 
 /// A 64-bit → 64-bit hash function suitable for cache indexing.
 pub trait IndexHash: Send {
@@ -46,60 +45,6 @@ impl IndexHash for LineHash {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-/// H3 universal hashing: `h(x) = XOR of rows[i] for each set bit i of x`.
-///
-/// This is the hash family referenced by the zcache paper for providing
-/// uniformly distributed replacement candidates.
-#[derive(Clone, Debug)]
-pub struct H3Hash {
-    rows: [u64; 64],
-}
-
-impl H3Hash {
-    /// Build an H3 function whose 64 rows are derived from `seed`.
-    pub fn new(seed: u64) -> Self {
-        let mut rows = [0u64; 64];
-        let base = LineHash::new(seed);
-        for (i, row) in rows.iter_mut().enumerate() {
-            *row = base.hash(i as u64 + 1);
-        }
-        H3Hash { rows }
-    }
-}
-
-impl IndexHash for H3Hash {
-    #[inline]
-    fn hash(&self, addr: u64) -> u64 {
-        let mut acc = 0u64;
-        let mut x = addr;
-        let mut i = 0;
-        while x != 0 {
-            if x & 1 == 1 {
-                acc ^= self.rows[i];
-            }
-            x >>= 1;
-            i += 1;
-        }
-        acc
-    }
-}
-
-/// XOR-folding: fold the address into 16-bit chunks and XOR them
-/// together. Cheap, hardware-friendly, but weaker than [`LineHash`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct XorFold;
-
-impl IndexHash for XorFold {
-    #[inline]
-    fn hash(&self, addr: u64) -> u64 {
-        let a = addr & 0xFFFF;
-        let b = (addr >> 16) & 0xFFFF;
-        let c = (addr >> 32) & 0xFFFF;
-        let d = (addr >> 48) & 0xFFFF;
-        a ^ b ^ c ^ d
     }
 }
 
@@ -139,36 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn h3_spreads_sequential_addresses() {
-        let h = H3Hash::new(7);
-        let (min, max) = bucket_spread(&h, 64 * 1000, 64);
-        assert!(min > 800 && max < 1200, "min={min} max={max}");
-    }
-
-    #[test]
     fn distinct_seeds_give_distinct_functions() {
         let h1 = LineHash::new(1);
         let h2 = LineHash::new(2);
         let same = (0..1000).filter(|&a| h1.hash(a) == h2.hash(a)).count();
         assert!(same < 5);
-    }
-
-    #[test]
-    fn h3_is_linear_in_xor() {
-        // H3 is XOR-linear: h(a ^ b) == h(a) ^ h(b) for h(0) == 0.
-        let h = H3Hash::new(3);
-        assert_eq!(h.hash(0), 0);
-        for (a, b) in [(1u64, 2u64), (0xFF, 0xF0F0), (12345, 987654321)] {
-            assert_eq!(h.hash(a ^ b), h.hash(a) ^ h.hash(b));
-        }
-    }
-
-    #[test]
-    #[allow(clippy::identity_op)] // spell out the 16-bit XOR fold
-    fn xor_fold_is_deterministic_and_bounded() {
-        let h = XorFold;
-        assert_eq!(h.hash(0x0001_0002_0003_0004), 1 ^ 2 ^ 3 ^ 4);
-        assert!(h.hash(u64::MAX) <= 0xFFFF);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod scheme_api;
 pub mod sharded;
 pub mod snapshot;
 pub mod stats;
-pub mod swar;
 pub mod trace;
 pub mod umon;
 

@@ -207,21 +207,12 @@ pub trait FutilityRanking: Send {
         }
     }
 
-    /// Fill `out` with one raw *hardware-futility numerator* per
-    /// candidate (in candidate order) and return `true`, or return
-    /// `false` (leaving `out` unspecified) if this ranking has no byte
-    /// lane — the default. Implementations must guarantee a
-    /// ranking-wide power-of-two denominator `D ≤ 256` such that for
-    /// every candidate `futility(c) == out[i] as f64 / D` *exactly*
-    /// (untracked lines report 0) with `out[i] ≤ 255`. Because the
-    /// numerators and any power-of-two scaling up to `2^7` are exactly
-    /// representable in `f64`, integer comparison of (shifted)
-    /// numerators coincides with the scalar `f64` futility comparison —
-    /// including ties — which is what lets byte-capable schemes
-    /// ([`PartitionScheme::victim_from_bytes`](crate::scheme_api::PartitionScheme::victim_from_bytes))
-    /// pick victims with a SWAR argmax while staying bit-exact. As with
-    /// [`futility_batch`](Self::futility_batch), `&mut self` only
-    /// licenses scratch reuse, never observable state changes.
+    /// Raw integer futility numerators in place of `f64` futilities
+    /// (a byte lane). Nothing in the workspace calls or overrides it:
+    /// every miss on a candidate array takes
+    /// [`futility_batch`](Self::futility_batch). It remains only
+    /// because perfbench's `Timed` wrapper forwards it; the default
+    /// answers `false`, "no byte lane".
     fn futility_bytes(&mut self, _cands: &[Candidate], _out: &mut Vec<u16>) -> bool {
         false
     }
@@ -252,20 +243,18 @@ pub trait FutilityRanking: Send {
     /// Number of lines currently tracked in `part`.
     fn pool_len(&self, part: PartitionId) -> usize;
 
-    /// Enable (or disable) ranking-internal operation counters,
-    /// surfaced through [`telemetry`](Self::telemetry). No ranking in
-    /// the workspace keeps such counters, so every one takes this
-    /// no-op default; the hook remains only because perfbench's
+    /// Enable (or disable) ranking-internal operation counters. No
+    /// ranking in the workspace keeps such counters and nothing in the
+    /// workspace calls this; it remains only because perfbench's
     /// `Timed` wrapper forwards it, and perfbench's traced
     /// `ranking.*.calls` layers count the same trait calls from
     /// outside. Removing it needs a change to that wrapper.
     fn set_op_probes(&mut self, _enabled: bool) {}
 
-    /// Push ranking-level telemetry probes, sampled by the flight
-    /// recorder on every tick after the scheme's probes. Every ranking
-    /// in the workspace takes this empty default; like
-    /// [`set_op_probes`](Self::set_op_probes), it remains only because
-    /// perfbench's `Timed` wrapper forwards it.
+    /// Push ranking-level telemetry probes. No ranking in the workspace
+    /// overrides this empty default and nothing in the workspace calls
+    /// it; like [`set_op_probes`](Self::set_op_probes), it remains only
+    /// because perfbench's `Timed` wrapper forwards it.
     fn telemetry(&self, _out: &mut Vec<Probe>) {}
 
     /// Serialize all ranking state — pool contents, timestamps, shadow
@@ -281,10 +270,11 @@ pub trait FutilityRanking: Send {
     fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError>;
 }
 
-/// Boxed rankings forward every method (including overridden defaults),
-/// so a generic [`EngineCore`](crate::engine::EngineCore) instantiated
-/// with `Box<dyn FutilityRanking>` behaves exactly like one
-/// instantiated with the concrete ranking.
+/// Boxed rankings forward every method the engine calls (including
+/// overridden defaults), so a generic
+/// [`EngineCore`](crate::engine::EngineCore) instantiated with
+/// `Box<dyn FutilityRanking>` behaves exactly like one instantiated
+/// with the concrete ranking.
 impl<T: FutilityRanking + ?Sized> FutilityRanking for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -316,9 +306,6 @@ impl<T: FutilityRanking + ?Sized> FutilityRanking for Box<T> {
     fn futility_batch(&mut self, cands: &mut [Candidate]) {
         (**self).futility_batch(cands)
     }
-    fn futility_bytes(&mut self, cands: &[Candidate], out: &mut Vec<u16>) -> bool {
-        (**self).futility_bytes(cands, out)
-    }
     fn futility_is_exact(&self) -> bool {
         (**self).futility_is_exact()
     }
@@ -330,12 +317,6 @@ impl<T: FutilityRanking + ?Sized> FutilityRanking for Box<T> {
     }
     fn pool_len(&self, part: PartitionId) -> usize {
         (**self).pool_len(part)
-    }
-    fn set_op_probes(&mut self, enabled: bool) {
-        (**self).set_op_probes(enabled)
-    }
-    fn telemetry(&self, out: &mut Vec<Probe>) {
-        (**self).telemetry(out)
     }
     fn save_state(&self, w: &mut SnapshotWriter) {
         (**self).save_state(w)

@@ -18,7 +18,6 @@
 //! buffer.
 
 use crate::ids::PartitionId;
-use crate::ranking_api::FutilityRanking;
 use crate::scheme_api::{PartitionScheme, PartitionState, Probe};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
@@ -40,9 +39,6 @@ pub(crate) struct RecordCtx<'a> {
     pub stats: &'a CacheStats,
     /// The partitioning scheme, for [`PartitionScheme::telemetry`].
     pub scheme: &'a dyn PartitionScheme,
-    /// The futility ranking, for [`FutilityRanking::telemetry`]
-    /// (empty for every ranking in the workspace).
-    pub ranking: &'a dyn FutilityRanking,
 }
 
 /// One recorded time-series sample in long format: at `time`, series
@@ -273,7 +269,6 @@ impl TimeSeriesRecorder {
         let mut probes = std::mem::take(&mut self.probes);
         probes.clear();
         ctx.scheme.telemetry(ctx.state, &mut probes);
-        ctx.ranking.telemetry(&mut probes);
         for p in &probes {
             self.push(Sample {
                 time: ctx.time,
@@ -378,16 +373,7 @@ impl TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranking_api::NaiveLru;
     use crate::scheme_api::EvictMaxFutility;
-    use std::sync::OnceLock;
-
-    /// A quiescent ranking for contexts whose test doesn't exercise
-    /// ranking telemetry (the default ranking emits no probes).
-    fn idle_ranking() -> &'static NaiveLru {
-        static R: OnceLock<NaiveLru> = OnceLock::new();
-        R.get_or_init(NaiveLru::new)
-    }
 
     fn ctx<'a>(
         time: u64,
@@ -401,7 +387,6 @@ mod tests {
             state,
             stats,
             scheme,
-            ranking: idle_ranking(),
         }
     }
 
@@ -494,65 +479,6 @@ mod tests {
             .map(|s| s.value)
             .collect();
         assert_eq!(misses, vec![5.0, 1.0]);
-    }
-
-    #[test]
-    fn ranking_telemetry_lands_after_scheme_probes() {
-        /// A ranking stub that emits one global probe per tick.
-        struct Probing(u64);
-        impl FutilityRanking for Probing {
-            fn name(&self) -> &'static str {
-                "probing-stub"
-            }
-            fn reset(&mut self, _pools: usize) {}
-            fn on_insert(&mut self, _: PartitionId, _: u64, _: u64, _: crate::AccessMeta) {}
-            fn on_hit(&mut self, _: PartitionId, _: u64, _: u64, _: crate::AccessMeta) {}
-            fn on_evict(&mut self, _: PartitionId, _: u64) {}
-            fn on_retag(&mut self, _: PartitionId, _: PartitionId, _: u64) {}
-            fn futility(&self, _: PartitionId, _: u64) -> f64 {
-                0.0
-            }
-            fn max_futility_line(&self, _: PartitionId) -> Option<u64> {
-                None
-            }
-            fn pool_len(&self, _: PartitionId) -> usize {
-                0
-            }
-            fn telemetry(&self, out: &mut Vec<Probe>) {
-                out.push(Probe::global("rank_inserts", self.0 as f64));
-            }
-            fn save_state(&self, w: &mut SnapshotWriter) {
-                w.begin("probing-stub");
-                w.end();
-            }
-            fn load_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-                r.begin("probing-stub")?;
-                r.end()
-            }
-        }
-
-        let scheme = EvictMaxFutility;
-        let state = PartitionState::new(1, 8);
-        let stats = CacheStats::new(1);
-        let ranking = Probing(42);
-        let mut rec = TimeSeriesRecorder::new(1, 1000);
-        rec.record(&RecordCtx {
-            time: 1,
-            partitions: state.pools(),
-            state: &state,
-            stats: &stats,
-            scheme: &scheme,
-            ranking: &ranking,
-        });
-        let probes: Vec<_> = rec
-            .samples()
-            .filter(|s| s.series == "rank_inserts")
-            .collect();
-        assert_eq!(probes.len(), 1);
-        assert_eq!(probes[0].value, 42.0);
-        assert_eq!(probes[0].part, None);
-        // The probe sample comes after all standard series of the tick.
-        assert_eq!(rec.samples().last().unwrap().series, "rank_inserts");
     }
 
     #[test]

@@ -236,31 +236,26 @@ pub trait PartitionScheme: Send {
         None
     }
 
-    /// Optional hook for schemes that need the ranking when choosing a
-    /// fully-associative victim differently; unused by default.
+    /// Whether the scheme needs an exact ranking. Nothing in the
+    /// workspace overrides or calls it; it remains only because
+    /// perfbench's `Timed` wrapper forwards it, and goes with the next
+    /// change to that wrapper.
     fn wants_exact_ranking(&self) -> bool {
         false
     }
 
-    /// Whether this scheme can pick victims from raw hardware-futility
-    /// numerators via [`victim_from_bytes`](Self::victim_from_bytes).
-    /// Must be constant for the lifetime of the scheme; the engine
-    /// checks it (plus
-    /// [`FutilityRanking::futility_bytes`](crate::ranking_api::FutilityRanking::futility_bytes))
-    /// once per miss and otherwise keeps the `f64`
-    /// [`victim_into`](Self::victim_into) path.
+    /// Whether the scheme picks victims from raw futility numerators
+    /// (a byte lane). Nothing in the workspace calls or overrides it:
+    /// every miss on a candidate array takes
+    /// [`victim_into`](Self::victim_into). It remains only because
+    /// perfbench's `Timed` wrapper forwards it.
     fn wants_futility_bytes(&self) -> bool {
         false
     }
 
-    /// Byte-lane victim selection: choose the victim index from the raw
-    /// futility numerators `raw` (one per candidate, as produced by
-    /// [`FutilityRanking::futility_bytes`](crate::ranking_api::FutilityRanking::futility_bytes)).
-    /// Called only when [`wants_futility_bytes`](Self::wants_futility_bytes)
-    /// is `true`; must return exactly the index [`victim_into`](Self::victim_into)
-    /// would pick on the corresponding `f64` futilities — including
-    /// tie-breaks — and implies an empty retag list (schemes that retag
-    /// must not opt in).
+    /// Victim selection from raw futility numerators (a byte lane).
+    /// Nothing in the workspace calls or overrides it; it remains only
+    /// because perfbench's `Timed` wrapper forwards it.
     fn victim_from_bytes(
         &mut self,
         _incoming: PartitionId,
@@ -301,10 +296,11 @@ pub trait PartitionScheme: Send {
     }
 }
 
-/// Boxed schemes forward every method (including overridden defaults),
-/// so a generic [`EngineCore`](crate::engine::EngineCore) instantiated
-/// with `Box<dyn PartitionScheme>` behaves exactly like one
-/// instantiated with the concrete scheme.
+/// Boxed schemes forward every method the engine calls (including
+/// overridden defaults), so a generic
+/// [`EngineCore`](crate::engine::EngineCore) instantiated with
+/// `Box<dyn PartitionScheme>` behaves exactly like one instantiated
+/// with the concrete scheme.
 impl<T: PartitionScheme + ?Sized> PartitionScheme for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
@@ -358,21 +354,6 @@ impl<T: PartitionScheme + ?Sized> PartitionScheme for Box<T> {
     ) -> Option<PartitionId> {
         (**self).on_foreign_hit(line_pool, accessor)
     }
-    fn wants_exact_ranking(&self) -> bool {
-        (**self).wants_exact_ranking()
-    }
-    fn wants_futility_bytes(&self) -> bool {
-        (**self).wants_futility_bytes()
-    }
-    fn victim_from_bytes(
-        &mut self,
-        incoming: PartitionId,
-        cands: &[Candidate],
-        raw: &[u16],
-        state: &PartitionState,
-    ) -> usize {
-        (**self).victim_from_bytes(incoming, cands, raw, state)
-    }
     fn telemetry(&self, state: &PartitionState, out: &mut Vec<Probe>) {
         (**self).telemetry(state, out)
     }
@@ -420,23 +401,6 @@ impl PartitionScheme for EvictMaxFutility {
         _state: &PartitionState,
     ) -> PartitionId {
         incoming
-    }
-
-    fn wants_futility_bytes(&self) -> bool {
-        true
-    }
-
-    fn victim_from_bytes(
-        &mut self,
-        _incoming: PartitionId,
-        _cands: &[Candidate],
-        raw: &[u16],
-        _state: &PartitionState,
-    ) -> usize {
-        // Unscaled max futility is exactly the raw-numerator argmax;
-        // the SWAR helper pins the same first-index tie-break as
-        // `argmax_futility`.
-        crate::swar::argmax_u15(raw)
     }
 }
 

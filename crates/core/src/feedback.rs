@@ -10,7 +10,9 @@
 //! `N_A > N_T`), decremented if undersized *and* shrinking, and both
 //! counters reset. The scaled futility of a candidate is
 //! `futility × ratio^shift_width` (with the default `ratio = 2` this is
-//! the paper's left-shift by `ScalingShiftWidth` bits).
+//! the paper's left-shift by `ScalingShiftWidth` bits). The factors
+//! `ratio^s` for every register value `s` are computed once, when the
+//! scheme is built, so a victim scan indexes a table.
 
 use cachesim::{
     Candidate, PartitionId, PartitionScheme, PartitionState, Probe, SnapshotError, SnapshotReader,
@@ -63,9 +65,9 @@ struct Registers {
 pub struct FsFeedback {
     config: FeedbackConfig,
     regs: Vec<Registers>,
-    /// Byte-lane scratch: shifted raw futilities, one per candidate.
-    /// Never part of the observable state (not snapshotted).
-    scaled: Vec<u16>,
+    /// `alpha_of_shift[s] == ratio.powi(s)` for `s` in `0..=max_shift`.
+    /// Derived from `config`, so not snapshotted.
+    alpha_of_shift: Vec<f64>,
 }
 
 impl FsFeedback {
@@ -79,7 +81,9 @@ impl FsFeedback {
         FsFeedback {
             config,
             regs: Vec::new(),
-            scaled: Vec::new(),
+            alpha_of_shift: (0..=config.max_shift)
+                .map(|s| config.ratio.powi(i32::from(s)))
+                .collect(),
         }
     }
 
@@ -101,7 +105,7 @@ impl FsFeedback {
 
     /// Current scaling factor `ratio^shift_width` of a partition.
     pub fn alpha(&self, part: PartitionId) -> f64 {
-        self.config.ratio.powi(self.shift_width(part) as i32)
+        self.alpha_of_shift[usize::from(self.shift_width(part))]
     }
 
     fn ensure(&mut self, pools: usize) {
@@ -153,41 +157,13 @@ impl PartitionScheme for FsFeedback {
         let mut best_scaled = f64::NEG_INFINITY;
         for (i, c) in cands.iter().enumerate() {
             let shift = self.regs.get(c.part.index()).map_or(0, |r| r.shift_width);
-            let scaled = c.futility * self.config.ratio.powi(shift as i32);
+            let scaled = c.futility * self.alpha_of_shift[usize::from(shift)];
             if scaled > best_scaled {
                 best_scaled = scaled;
                 best = i;
             }
         }
         VictimDecision::evict(best)
-    }
-
-    fn wants_futility_bytes(&self) -> bool {
-        // The byte lane is exact only when scaling is the paper's
-        // hardware left shift: ratio bit-equal to 2 and the shift
-        // register small enough that `raw << shift ≤ 255 × 2^7` stays
-        // within the 15-bit SWAR lanes. Other ratios keep the f64 path.
-        self.config.ratio.to_bits() == 2.0f64.to_bits() && self.config.max_shift <= MAX_SHIFT_WIDTH
-    }
-
-    fn victim_from_bytes(
-        &mut self,
-        _incoming: PartitionId,
-        cands: &[Candidate],
-        raw: &[u16],
-        _state: &PartitionState,
-    ) -> usize {
-        // Integer form of `victim`: futility × 2^shift over a common
-        // power-of-two denominator is `raw << shift`, exactly
-        // representable on both sides, so the comparison (and the
-        // first-index tie-break) coincides with the scalar f64 loop.
-        let FsFeedback { regs, scaled, .. } = self;
-        scaled.clear();
-        for (c, &r) in cands.iter().zip(raw) {
-            let shift = regs.get(c.part.index()).map_or(0, |reg| reg.shift_width);
-            scaled.push(r << shift);
-        }
-        cachesim::swar::argmax_u15(scaled)
     }
 
     fn notify_insert(&mut self, part: PartitionId, state: &PartitionState) {
@@ -253,13 +229,15 @@ impl PartitionScheme for FsFeedback {
         for reg in &mut self.regs {
             reg.insertion_counter = r.u32()?;
             reg.eviction_counter = r.u32()?;
-            reg.shift_width = r.u8()?;
-            if reg.shift_width > self.config.max_shift {
+            // Checked before it is stored: `alpha` indexes its table by it.
+            let shift_width = r.u8()?;
+            if shift_width > self.config.max_shift {
                 return Err(SnapshotError::corrupt(format!(
                     "shift width {} exceeds the {}-level register",
-                    reg.shift_width, self.config.max_shift
+                    shift_width, self.config.max_shift
                 )));
             }
+            reg.shift_width = shift_width;
         }
         r.end()
     }
@@ -400,5 +378,92 @@ mod tests {
             fs.notify_insert(PartitionId(0), &state);
         }
         assert!((fs.alpha(PartitionId(0)) - 4.0).abs() < 1e-12);
+    }
+
+    /// Changing ratios of Figure 8's sweep.
+    const RATIOS: [f64; 5] = [1.25, 1.5, 2.0, 4.0, 8.0];
+    /// Saturation levels of the shift register: below, at and above
+    /// the 7 of the paper's 3-bit register.
+    const MAX_SHIFTS: [u8; 3] = [3, 7, 10];
+    /// Partitions with registers; candidates may also come from the
+    /// pool after them, which has none (scale 1).
+    const POOLS: u16 = 4;
+
+    /// Generated case: (ratio index, max-shift index), register events
+    /// (partition, 1 for a step up or 0 for a step down) and candidates
+    /// (partition, futility in eighths).
+    type VictimCase = ((usize, usize), Vec<(u16, u8)>, Vec<(u16, u16)>);
+
+    /// The victim is the first candidate of largest `futility ×
+    /// ratio^shift`, and `alpha` is that power, bit for bit, for every
+    /// ratio of Figure 8's sweep, every register width and any register
+    /// state. Futilities in eighths force ties, within a partition and
+    /// across scales (0.5 × 1.25 = 0.625 × 1), so the tie order is
+    /// checked too.
+    fn prop_victim_is_first_max_of_scaled_futility(
+        ((ratio_idx, shift_idx), events, cands): &VictimCase,
+    ) -> testkit::CaseResult {
+        let (ratio, max_shift) = (RATIOS[*ratio_idx], MAX_SHIFTS[*shift_idx]);
+        let mut fs = FsFeedback::new(FeedbackConfig {
+            interval: 1,
+            ratio,
+            max_shift,
+        });
+        let pools = usize::from(POOLS);
+        // Every pool oversized (a step up on each insertion) or
+        // undersized (a step down on each eviction).
+        let over = state_with(vec![2; pools], vec![1; pools]);
+        let under = state_with(vec![0; pools], vec![1; pools]);
+        fs.configure(&over);
+        for &(part, up) in events {
+            if up == 1 {
+                fs.notify_insert(PartitionId(part), &over);
+            } else {
+                fs.notify_evict(PartitionId(part), &under);
+            }
+        }
+        for p in 0..=POOLS {
+            let part = PartitionId(p);
+            let shift = fs.shift_width(part);
+            testkit::tk_assert!(shift <= max_shift);
+            testkit::tk_assert_eq!(
+                fs.alpha(part).to_bits(),
+                ratio.powi(i32::from(shift)).to_bits()
+            );
+        }
+        let cands: Vec<Candidate> = cands
+            .iter()
+            .enumerate()
+            .map(|(i, &(part, eighths))| cand(i as SlotId, part, f64::from(eighths) / 8.0))
+            .collect();
+        let mut expect = 0usize;
+        let mut best = f64::NEG_INFINITY;
+        for (i, c) in cands.iter().enumerate() {
+            let scaled = c.futility * ratio.powi(i32::from(fs.shift_width(c.part)));
+            if scaled > best {
+                best = scaled;
+                expect = i;
+            }
+        }
+        let decision = fs.victim(PartitionId(0), &cands, &over);
+        testkit::tk_assert_eq!(decision, VictimDecision::evict(expect));
+        Ok(())
+    }
+
+    #[test]
+    fn victim_is_first_max_of_scaled_futility() {
+        use testkit::{check, int_range, vec_of};
+        check(
+            "feedback_victim_is_first_max_of_scaled_futility",
+            &(
+                (
+                    int_range(0usize..RATIOS.len()),
+                    int_range(0usize..MAX_SHIFTS.len()),
+                ),
+                vec_of((int_range(0u16..POOLS), int_range(0u8..2)), 0..120),
+                vec_of((int_range(0u16..POOLS + 1), int_range(0u16..9)), 1..24),
+            ),
+            prop_victim_is_first_max_of_scaled_futility,
+        );
     }
 }

@@ -225,24 +225,6 @@ impl FutilityRanking for CoarseLru {
         }
     }
 
-    fn futility_bytes(&mut self, cands: &[Candidate], out: &mut Vec<u16>) -> bool {
-        // The raw hardware numerator is the coarse timestamp distance
-        // itself: futility = distance / 256 exactly, distance ≤ 255, so
-        // the byte-lane contract holds with D = 256. Same lookup
-        // structure as `futility_batch`, minus the f64 conversion.
-        out.clear();
-        for c in cands {
-            out.push(match self.pools.get(c.part.index()) {
-                Some(p) => match p.tags.get(&c.addr) {
-                    Some(&tag) => p.current_ts.wrapping_sub(tag) as u16,
-                    None => 0,
-                },
-                None => 0,
-            });
-        }
-        true
-    }
-
     fn true_futility(&self, part: PartitionId, addr: u64) -> f64 {
         if part.index() < self.shadow.pools() {
             self.shadow.futility(part.index(), addr)

@@ -177,27 +177,6 @@ impl FutilityRanking for Rrip {
         }
     }
 
-    fn futility_bytes(&mut self, cands: &[Candidate], out: &mut Vec<u16>) -> bool {
-        // futility = (rrpv + 1) / (MAX_RRPV + 1) exactly, so the aged
-        // RRPV plus one is the raw numerator (≤ MAX_RRPV + 1 = 4) under
-        // denominator D = 4; untracked lines report 0. Same lookup
-        // structure as `futility_batch`, minus the f64 conversion.
-        out.clear();
-        for c in cands {
-            out.push(
-                match self
-                    .pools
-                    .get(c.part.index())
-                    .and_then(|p| p.effective_rrpv(c.addr))
-                {
-                    Some(r) => (r + 1) as u16,
-                    None => 0,
-                },
-            );
-        }
-        true
-    }
-
     fn true_futility(&self, part: PartitionId, addr: u64) -> f64 {
         self.shadow.futility(part.index(), addr)
     }

@@ -73,9 +73,8 @@ impl InterleavedDriver {
     }
 
     /// How many accesses the driver queues before handing the engine a
-    /// block. Large enough to amortize the per-batch dispatch and keep
-    /// the prefetch pipeline full, small enough that the block stays
-    /// resident in L1/L2.
+    /// block. Large enough to amortize the per-batch dispatch, small
+    /// enough that the block stays resident in L1/L2.
     const BLOCK: usize = 256;
 
     /// Replay all traces round-robin to completion, feeding the engine

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use cachesim::array::{
         FullyAssociative, RandomCandidates, SetAssociative, SkewAssociative, ZCache,
     };
-    pub use cachesim::hashing::{H3Hash, LineHash, ModuloIndex, XorFold};
+    pub use cachesim::hashing::{LineHash, ModuloIndex};
     pub use cachesim::{
         AccessBlock, AccessMeta, AccessOutcome, Candidate, Engine, EngineCore, FutilityRanking,
         PartitionId, PartitionScheme, PartitionState, PartitionedCache, ShardedEngine, Trace,

@@ -1,10 +1,9 @@
 //! The bare coarse LRU contract (DESIGN.md §14): the shadow-less
 //! `coarse-lru-bare` computes the same timestamp tags as the shadowed
 //! `coarse-lru`, so every composition that selects victims through
-//! candidate futility — the scalar f64 path and the byte-lane SWAR path
-//! alike — must replay identically across the two: the same hit/miss
-//! sequence, the same victim lines, the same occupancies and the same
-//! hit/miss/eviction statistics.
+//! candidate futility must replay identically across the two: the same
+//! hit/miss sequence, the same victim lines, the same occupancies and
+//! the same hit/miss/eviction statistics.
 //!
 //! The one difference is `true_futility`: the bare map answers with the
 //! coarse timestamp estimate, where the shadow gives the exact rank.

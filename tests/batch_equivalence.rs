@@ -250,9 +250,8 @@ fn assert_streams_match(
 }
 
 /// Miss-dominated blocks over the full grid: an address universe far
-/// larger than the 32-line caches keeps the miss path (and, where the
-/// composition supports it, the byte-lane SWAR victim pick) engaged
-/// for essentially every access.
+/// larger than the 32-line caches keeps the miss path and its victim
+/// pick engaged for essentially every access.
 #[test]
 fn miss_dominated_blocks_match_scalar_across_grid() {
     for array_idx in 0..ARRAYS {
@@ -292,180 +291,6 @@ fn alternating_hit_miss_blocks_match_scalar_across_grid() {
                     .collect();
                 assert_streams_match(array_idx, ranking_idx, scheme_idx, &stream);
             }
-        }
-    }
-}
-
-/// The SWAR argmax must agree with the scalar strict-`>` first-max scan
-/// on every input — the tie-breaking order is part of the contract, so
-/// narrow value ranges (forcing massed ties) are generated alongside
-/// full-range 15-bit values.
-#[test]
-fn swar_argmax_matches_scalar_reference() {
-    // testkit's `check` hands properties `&G::Output`, here `&Vec<u16>`.
-    #[allow(clippy::ptr_arg)]
-    fn prop(vals: &Vec<u16>) -> CaseResult {
-        tk_assert!(!vals.is_empty());
-        tk_assert_eq!(
-            cachesim::swar::argmax_u15(vals),
-            cachesim::swar::argmax_u15_scalar(vals)
-        );
-        Ok(())
-    }
-    check(
-        "swar_argmax_full_range",
-        &vec_of(int_range(0u16..0x8000), 1..80),
-        prop,
-    );
-    check(
-        "swar_argmax_heavy_ties",
-        &vec_of(int_range(0u16..4), 1..80),
-        prop,
-    );
-}
-
-/// Tie-breaking pinned bit-exactly: duplicated maxima must resolve to
-/// the lowest index wherever the duplicates fall relative to the packed
-/// 4-lane words.
-#[test]
-fn swar_argmax_tie_break_is_first_index() {
-    use cachesim::swar::argmax_u15;
-    assert_eq!(argmax_u15(&[5, 5, 5, 5, 5]), 0);
-    assert_eq!(argmax_u15(&[1, 9, 9]), 1);
-    assert_eq!(argmax_u15(&[0, 0, 0]), 0, "zero max must not hit padding");
-    for (a, b) in [(0, 3), (2, 4), (3, 7), (1, 8), (5, 13), (0, 15)] {
-        let mut vals = vec![2u16; 16];
-        vals[a] = 32640; // 255 << 7, the byte-lane maximum
-        vals[b] = 32640;
-        assert_eq!(argmax_u15(&vals), a, "dup at {a},{b}");
-    }
-}
-
-/// A scheme wrapper that hides the byte-lane capability, forcing the
-/// engine down the scalar f64 victim path while delegating everything
-/// else — the reference the byte lane is checked against.
-struct NoByteLane(Box<dyn PartitionScheme>);
-
-impl PartitionScheme for NoByteLane {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn extra_pools(&self) -> usize {
-        self.0.extra_pools()
-    }
-    fn configure(&mut self, state: &PartitionState) {
-        self.0.configure(state);
-    }
-    fn victim(
-        &mut self,
-        incoming: PartitionId,
-        cands: &[Candidate],
-        state: &PartitionState,
-    ) -> VictimDecision {
-        self.0.victim(incoming, cands, state)
-    }
-    fn victim_into(
-        &mut self,
-        incoming: PartitionId,
-        cands: &[Candidate],
-        state: &PartitionState,
-        out: &mut VictimDecision,
-    ) {
-        self.0.victim_into(incoming, cands, state, out);
-    }
-    fn victim_partition_fully_assoc(
-        &mut self,
-        incoming: PartitionId,
-        state: &PartitionState,
-    ) -> PartitionId {
-        self.0.victim_partition_fully_assoc(incoming, state)
-    }
-    fn notify_insert(&mut self, part: PartitionId, state: &PartitionState) {
-        self.0.notify_insert(part, state);
-    }
-    fn notify_evict(&mut self, part: PartitionId, state: &PartitionState) {
-        self.0.notify_evict(part, state);
-    }
-    fn notify_hit(&mut self, part: PartitionId) {
-        self.0.notify_hit(part);
-    }
-    fn insertion_pool(&self, incoming: PartitionId) -> PartitionId {
-        self.0.insertion_pool(incoming)
-    }
-    fn on_foreign_hit(
-        &mut self,
-        line_pool: PartitionId,
-        accessor: PartitionId,
-    ) -> Option<PartitionId> {
-        self.0.on_foreign_hit(line_pool, accessor)
-    }
-    fn wants_exact_ranking(&self) -> bool {
-        self.0.wants_exact_ranking()
-    }
-    fn telemetry(&self, state: &PartitionState, out: &mut Vec<cachesim::Probe>) {
-        self.0.telemetry(state, out);
-    }
-    fn save_state(&self, w: &mut cachesim::SnapshotWriter) {
-        self.0.save_state(w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut cachesim::SnapshotReader,
-    ) -> Result<(), cachesim::SnapshotError> {
-        self.0.load_state(r)
-    }
-    // wants_futility_bytes deliberately left at the default `false`.
-}
-
-/// The byte lane is bit-exact: for every byte-capable ranking × scheme
-/// pair, an engine taking the SWAR integer path must replay a
-/// churn-heavy stream identically (outcomes, statistics and final
-/// snapshot bytes) to one forced down the scalar f64 futility path.
-/// Scalar-vs-batch equivalence cannot see this — both sides of that
-/// comparison share `miss_path` — so this is the dedicated proof.
-#[test]
-fn byte_lane_matches_f64_path_bit_exactly() {
-    let schemes: [&dyn Fn() -> Box<dyn PartitionScheme>; 2] =
-        [&|| cachesim::evict_max_futility(), &|| {
-            Box::new(FsFeedback::default_config())
-        }];
-    for ranking_name in ["coarse-lru", "rrip", "coarse-lru-bare"] {
-        for make_scheme in schemes {
-            let build_one = |scheme: Box<dyn PartitionScheme>| {
-                let mut c = PartitionedCache::new(
-                    Box::new(SetAssociative::new(8, 4, LineHash::new(7))),
-                    ranking::by_name(ranking_name).unwrap(),
-                    scheme,
-                    PARTS,
-                );
-                c.set_targets(&[16, 10, 6]);
-                c
-            };
-            let mut byte_lane = build_one(make_scheme());
-            let mut f64_path = build_one(Box::new(NoByteLane(make_scheme())));
-            let ctx = format!("{ranking_name}/{}", byte_lane.scheme().name());
-            assert!(
-                byte_lane.scheme().wants_futility_bytes(),
-                "{ctx}: byte lane not enabled"
-            );
-            assert!(!f64_path.scheme().wants_futility_bytes());
-            // Churn-heavy with periodic re-touches: evictions dominate
-            // (so victim selection runs constantly and feedback shift
-            // widths move) but ties and re-references still occur.
-            for i in 0..3_000u64 {
-                let p = PartitionId((i % PARTS as u64) as u16);
-                let addr = (i * 37) % 300 + p.0 as u64 * 10_000;
-                let a = byte_lane.access(p, addr, AccessMeta::default());
-                let b = f64_path.access(p, addr, AccessMeta::default());
-                assert_eq!(a, b, "{ctx}: access {i} diverged");
-            }
-            assert_eq!(
-                byte_lane.stats().total_hits(),
-                f64_path.stats().total_hits(),
-                "{ctx}"
-            );
-            assert_eq!(byte_lane.state().actual, f64_path.state().actual, "{ctx}");
-            assert_eq!(byte_lane.snapshot(), f64_path.snapshot(), "{ctx}");
         }
     }
 }

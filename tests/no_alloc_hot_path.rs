@@ -225,14 +225,14 @@ fn warm_batched_access_never_allocates() {
 /// The batched *miss* path must reuse its scratch too: an
 /// overwhelming-miss trace (universe 64× the cache, so nearly every
 /// access misses) must reach the same two-consecutive-clean-passes
-/// steady state. Cells are chosen to cover both byte-lane scratch
-/// buffers — the engine's raw-numerator vector (coarse-lru / rrip) and
-/// fs-feedback's shifted copy — alongside an exact ranking whose miss
-/// path stays on the f64 lane. The `coarse-lru` and `lru` cells run
-/// `engine_for`'s monomorphized cores; the `rrip` cells run the boxed
-/// composition the figures run. `engine_for` runs `coarse-lru` bare on
-/// this array, so the shadowed core, built directly, keeps the
-/// coarse LRU's exact shadow covered.
+/// steady state. Cells are chosen to cover the engine's candidate and
+/// decision buffers under the coarse rankings (coarse-lru / rrip) and
+/// an exact one, with fs-feedback's victim scan and the unpartitioned
+/// argmax. The `coarse-lru` and `lru` cells run `engine_for`'s
+/// monomorphized cores; the `rrip` cells run the boxed composition the
+/// figures run. `engine_for` runs `coarse-lru` bare on this array, so
+/// the shadowed core, built directly, keeps the coarse LRU's exact
+/// shadow covered.
 #[test]
 fn warm_batched_miss_runs_never_allocate() {
     let _serial = serial();
